@@ -12,7 +12,6 @@ namespace
 const char *const codeNames[] = {
     "ConfigInvalid",       "WorkloadBuild", "CycleBudgetExceeded",
     "NoForwardProgress",   "IoError",       "InternalInvariant",
-    "WorkerLost",
 };
 constexpr unsigned numCodes = sizeof(codeNames) / sizeof(codeNames[0]);
 

@@ -29,7 +29,6 @@ enum class ErrCode : std::uint8_t
     NoForwardProgress,   //!< watchdog: no instruction retired in budget
     IoError,             //!< artifact/journal read or write failed
     InternalInvariant,   //!< simulator bug (legacy panic sites)
-    WorkerLost,          //!< fabric: a cell's worker died repeatedly
 };
 
 /** Stable printable name, e.g. "CycleBudgetExceeded". */

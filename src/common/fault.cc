@@ -54,13 +54,10 @@ FaultPlan::parse(std::string_view spec)
             rule.kind = Kind::Hang;
         } else if (kind == "kill") {
             rule.kind = Kind::Kill;
-        } else if (kind == "ckill") {
-            rule.kind = Kind::CoordKill;
         } else if (kind == "io") {
             rule.kind = Kind::Io;
         } else {
-            badSpec(item, "unknown kind (want throw, hang, kill, "
-                          "ckill, io)");
+            badSpec(item, "unknown kind (want throw, hang, kill, io)");
         }
 
         if (rule.kind == Kind::Io) {
@@ -170,19 +167,6 @@ FaultPlan::shouldKill(std::string_view workload,
     for (const Rule &r : rules) {
         if (r.kind == Kind::Kill && matchCell(r, workload, config, 1, 0))
             return true;
-    }
-    return false;
-}
-
-bool
-FaultPlan::shouldCoordKill(std::string_view workload,
-                           std::string_view config) const
-{
-    for (const Rule &r : rules) {
-        if (r.kind == Kind::CoordKill &&
-            matchCell(r, workload, config, 1, 0)) {
-            return true;
-        }
     }
     return false;
 }

@@ -22,11 +22,6 @@
  *                                    cell's completion record is
  *                                    journaled (crash-safe --resume
  *                                    testing)
- *   ckill@WORKLOAD/CONFIG            fabric only: the COORDINATOR
- *                                    raises SIGKILL right after that
- *                                    cell's record is journaled
- *                                    (coordinator crash-recovery
- *                                    testing; workers ignore it)
  *   io@SUBSTRING                     fail atomic artifact writes whose
  *                                    target path contains SUBSTRING
  *
@@ -75,16 +70,11 @@ class FaultPlan
     bool shouldKill(std::string_view workload,
                     std::string_view config) const;
 
-    /** Should the fabric COORDINATOR SIGKILL itself after journaling
-     *  this cell? (Crash-recovery testing; see ckill@ above.) */
-    bool shouldCoordKill(std::string_view workload,
-                         std::string_view config) const;
-
     /** Should an atomic write to @p path fail with IoError? */
     bool shouldFailIo(std::string_view path) const;
 
   private:
-    enum class Kind : std::uint8_t { Throw, Hang, Kill, CoordKill, Io };
+    enum class Kind : std::uint8_t { Throw, Hang, Kill, Io };
 
     struct Rule
     {

@@ -14,6 +14,16 @@
 namespace svr
 {
 
+namespace
+{
+
+/**
+ * Run one (workload, config) cell with the engine's fault isolation:
+ * legacy panic()/fatal() sites captured as SimErrors, injected faults
+ * applied, up to opts.maxAttempts tries. On final failure either
+ * rethrows (fail-fast) or returns a deterministic failure record
+ * (opts.keepGoing).
+ */
 SimResult
 runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
                 const MatrixOptions &opts)
@@ -55,6 +65,8 @@ runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
         }
     }
 }
+
+} // namespace
 
 std::vector<MatrixRow>
 runMatrix(const std::vector<WorkloadSpec> &workloads,

@@ -122,18 +122,6 @@ struct MatrixTiming
 };
 
 /**
- * Run one (workload, config) cell with the engine's fault isolation:
- * legacy panic()/fatal() sites captured as SimErrors, injected faults
- * applied, up to opts.maxAttempts tries. On final failure either
- * rethrows (fail-fast) or returns a deterministic failure record
- * (opts.keepGoing). This is the exact per-cell path runMatrix() uses;
- * the distributed fabric workers (sim/fabric.hh) call it directly so
- * a cell computes the same bytes no matter which process runs it.
- */
-SimResult runIsolatedCell(const WorkloadSpec &spec, const SimConfig &config,
-                          const MatrixOptions &opts);
-
-/**
  * Simulate every workload under every config, sharding the cells
  * across the thread pool. Results are ordered workload-major exactly
  * like the historical serial loop. If @p timing is non-null it

@@ -131,18 +131,6 @@ headerLine(const SweepKey &key)
 } // namespace
 
 std::string
-journalEscape(const std::string &s)
-{
-    return escapeField(s);
-}
-
-std::string
-journalUnescape(const std::string &s)
-{
-    return unescapeField(s);
-}
-
-std::string
 journalLine(const SimResult &r)
 {
     std::ostringstream os;

@@ -69,16 +69,6 @@ using JournalCells =
 std::string journalLine(const SimResult &r);
 
 /**
- * %-escape a value so it travels as one whitespace-free token ("-"
- * encodes the empty string) — the token format shared by journal
- * records and the fabric wire messages (sim/fabric.hh).
- */
-std::string journalEscape(const std::string &s);
-
-/** Invert journalEscape(). */
-std::string journalUnescape(const std::string &s);
-
-/**
  * Parse one "R1 ..." line. Returns false on a torn/corrupt line
  * (callers skip it) — never throws.
  */
@@ -124,8 +114,8 @@ class SweepJournal
 JournalCells loadJournal(const std::string &path, const SweepKey &expect);
 
 /**
- * Merge several journal shards (e.g. shipped from workers that
- * journaled locally on other hosts) into one completed-cell map.
+ * Merge several journal shards (e.g. the journals of svrsim_sweep
+ * --shard runs on other hosts) into one completed-cell map.
  * Every shard must carry the same sweep identity @p expect; cells
  * appearing in more than one shard are identical by the determinism
  * contract (same cell => same seeded stream => same record), so the

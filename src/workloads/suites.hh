@@ -48,9 +48,8 @@ WorkloadSpec findWorkload(const std::string &name);
 
 /**
  * Resolve a suite by CLI name: graph, hpcdb, full, spec, or quick.
- * Fatal on anything else. Both the sweep tool and fabric workers use
- * this, so a worker handed a suite name over the wire reconstructs
- * exactly the cell matrix the coordinator enumerated.
+ * Fatal on anything else. The order of each list is fixed, so
+ * svrsim_sweep --shard I/N picks the same workloads on every host.
  */
 std::vector<WorkloadSpec> suiteByName(const std::string &name);
 

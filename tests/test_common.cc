@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for common utilities: RNG, statistics helpers, saturating
- * counters, EWMA, and the basic address helpers.
+ * counters, EWMA, the basic address helpers, and checked number
+ * parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "common/error.hh"
+#include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -211,6 +217,46 @@ TEST(SatCounter, SetClamps)
     SatCounter c(2);
     c.set(100);
     EXPECT_EQ(c.value(), 3u);
+}
+
+TEST(ParseNumber, AcceptsPlainDecimals)
+{
+    const ScopedErrorCapture capture;
+    EXPECT_EQ(parseNumber<unsigned>("--jobs", "0"), 0u);
+    EXPECT_EQ(parseNumber<unsigned>("--jobs", "4294967295"), 4294967295u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("--window", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(parseNumber<double>("--bw", "12.5"), 12.5);
+    EXPECT_EQ(parseNumber<double>("--bw", "1e3"), 1000.0);
+}
+
+TEST(ParseNumber, RejectsMalformedValuesAsConfigInvalid)
+{
+    const ScopedErrorCapture capture;
+    const char *bad[] = {"", "abc", "-5", "+5", " 5", "5 ", "5x", "0x10"};
+    for (const char *text : bad) {
+        SCOPED_TRACE(text);
+        try {
+            parseNumber<std::uint64_t>("--window", text);
+            ADD_FAILURE() << "accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrCode::ConfigInvalid);
+            EXPECT_NE(e.message().find("--window"), std::string::npos);
+        }
+    }
+    EXPECT_THROW(parseNumber<double>("--bw", "-1.5"), SimError);
+    EXPECT_THROW(parseNumber<double>("--bw", "inf"), SimError);
+    EXPECT_THROW(parseNumber<double>("--bw", "nan"), SimError);
+}
+
+TEST(ParseNumber, RejectsOverflow)
+{
+    const ScopedErrorCapture capture;
+    EXPECT_THROW(parseNumber<unsigned>("--jobs", "4294967296"), SimError);
+    EXPECT_THROW(
+        parseNumber<std::uint64_t>("--window", "18446744073709551616"),
+        SimError);
+    EXPECT_THROW(parseNumber<double>("--bw", "1e999"), SimError);
 }
 
 } // namespace

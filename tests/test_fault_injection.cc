@@ -40,7 +40,6 @@ TEST(SimErrors, CodeNamesRoundTrip)
         ErrCode::ConfigInvalid,       ErrCode::WorkloadBuild,
         ErrCode::CycleBudgetExceeded, ErrCode::NoForwardProgress,
         ErrCode::IoError,             ErrCode::InternalInvariant,
-        ErrCode::WorkerLost,
     };
     for (ErrCode c : codes) {
         ErrCode parsed;

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Determinism linter for the byte-identical-output paths.
 #
-# The sweep fabric's contract is that reports, journals, checkpoints,
-# and stats artifacts are byte-identical across job counts, hosts, and
-# resumes. That contract dies quietly the day someone iterates an
-# unordered container into a report, keys an ordering on a pointer, or
-# stamps host time into an artifact. This linter greps the artifact-
-# producing sources for the known footguns and fails on any hit:
+# The sweep engine's contract is that reports, journals, checkpoints,
+# and stats artifacts are byte-identical across job counts, shards,
+# hosts, and resumes. That contract dies quietly the day someone
+# iterates an unordered container into a report, keys an ordering on a
+# pointer, or stamps host time into an artifact. This linter greps the
+# artifact-producing sources for the known footguns and fails on any
+# hit:
 #
 #   - unordered_map / unordered_set    (iteration order is unspecified)
 #   - time( / clock( / localtime       (host time in artifact paths)
@@ -23,17 +24,15 @@ set -u
 root="${1:-.}"
 
 # The artifact-producing sources: everything whose output is under the
-# byte-identity contract (reports, journals, checkpoints, wire frames,
-# stats, the lint/chain reports themselves).
+# byte-identity contract (reports, journals, checkpoints, stats, the
+# lint/chain reports themselves).
 files=(
     src/sim/report.cc
     src/sim/journal.cc
     src/sim/checkpoint.cc
     src/sim/experiment.cc
-    src/sim/fabric.cc
     src/common/stats.cc
     src/common/io.cc
-    src/common/wire.cc
     src/analysis/verifier.cc
     src/analysis/chains.cc
     src/analysis/chain_xcheck.cc

@@ -27,6 +27,7 @@
 #include "analysis/chains.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -125,43 +126,44 @@ try {
         } else if (arg == "--core") {
             core = next();
         } else if (arg == "--n") {
-            n = static_cast<unsigned>(std::stoul(next()));
+            n = parseNumber<unsigned>(arg, next());
         } else if (arg == "--window") {
-            config.maxInstructions = std::stoull(next());
+            config.maxInstructions =
+                parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--mshrs") {
-            config.mem.l1d.numMshrs =
-                static_cast<unsigned>(std::stoul(next()));
+            config.mem.l1d.numMshrs = parseNumber<unsigned>(arg, next());
         } else if (arg == "--bw") {
-            config.mem.dram.bandwidthGiBps = std::stod(next());
+            config.mem.dram.bandwidthGiBps =
+                parseNumber<double>(arg, next());
         } else if (arg == "--ptws") {
             config.mem.translation.numWalkers =
-                static_cast<unsigned>(std::stoul(next()));
+                parseNumber<unsigned>(arg, next());
         } else if (arg == "--loop-bound") {
             config.svr.loopBound = parseLoopBound(next());
         } else if (arg == "--no-waiting") {
             config.svr.waitingMode = false;
         } else if (arg == "--svu-width") {
-            config.svr.svuWidth =
-                static_cast<unsigned>(std::stoul(next()));
+            config.svr.svuWidth = parseNumber<unsigned>(arg, next());
         } else if (arg == "--srf") {
-            config.svr.numSrfRegs =
-                static_cast<unsigned>(std::stoul(next()));
+            config.svr.numSrfRegs = parseNumber<unsigned>(arg, next());
         } else if (arg == "--dvr-recycling") {
             config.svr.recycle = SrfRecycle::StopWhenFull;
         } else if (arg == "--oracle") {
             oracle = true;
         } else if (arg == "--sample-every") {
-            config.sampling.sampleEvery = std::stoull(next());
+            config.sampling.sampleEvery =
+                parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--sample-window") {
-            config.sampling.sampleWindow = std::stoull(next());
+            config.sampling.sampleWindow =
+                parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--warmup") {
-            config.sampling.warmup = std::stoull(next());
+            config.sampling.warmup = parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--compare") {
             compare = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next()));
+            jobs = parseNumber<unsigned>(arg, next());
         } else {
             usage();
             fatal("unknown argument '%s'", arg.c_str());

@@ -8,10 +8,8 @@
  *                [--configs LIST] [--window INSTRS] [--jobs N] [--json]
  *                [--sample-every E] [--sample-window W] [--warmup U]
  *                [--out PATH] [--resume] [--keep-going] [--retries N]
- *                [--workers N] [--coordinator ADDR] [--worker ADDR]
- *                [--shards LIST] [--keep-journal] [--lease-timeout MS]
- *                [--chunk N] [--heartbeat-ms MS] [--hedge-ms MS]
- *                [--reconnect-ms MS] [--journal-fsync]
+ *                [--keep-journal] [--journal-fsync]
+ *                [--shard I/N] [--shards LIST]
  *
  * LIST is comma-separated from: ino, imp, ooo, svrN (e.g. svr16).
  * Default: --suite quick --configs ino,imp,ooo,svr16,svr64
@@ -20,43 +18,6 @@
  * the SVRSIM_JOBS environment variable, default: all hardware
  * threads). Output is byte-identical for any job count; progress and
  * the cells/sec summary go to stderr.
- *
- * Distributed sweeps (the fabric, sim/fabric.hh):
- *   --workers N       run as coordinator and spawn N local worker
- *                     processes (svrsim_worker, found next to this
- *                     binary or via SVRSIM_WORKER_BIN); cells are
- *                     leased to workers and merged back into an
- *                     artifact byte-identical to a serial run
- *   --coordinator A   listen on an explicit endpoint ("unix:PATH" or
- *                     "tcp:HOST:PORT") so external svrsim_worker
- *                     processes can attach; combines with --workers
- *   --worker A        run as a fabric worker attached to coordinator
- *                     endpoint A (--jobs = threads per lease); all
- *                     sweep parameters come from the coordinator
- *   --shards LIST     merge comma-separated journal shard files
- *                     (e.g. journals shipped from another host) as
- *                     already-completed cells before sweeping
- *   --lease-timeout   silence window [ms] after which the coordinator
- *                     declares a worker dead (default 60000)
- *   --heartbeat-ms    worker PING period [ms] (default 1000); must be
- *                     < leaseTimeout/3 so a busy worker fits several
- *                     heartbeats into one timeout window. Forwarded
- *                     to spawned workers; shipped to external ones
- *                     via WELCOME. In --worker mode, sets this
- *                     worker's own heartbeat.
- *   --hedge-ms MS     straggler hedging: speculatively re-lease the
- *                     cells of a lease older than MS ms to an idle
- *                     worker (0 = auto leaseTimeout/2, the default;
- *                     negative disables hedging)
- *   --reconnect-ms    (--worker mode) keep retrying a lost
- *                     coordinator connection for MS ms (default
- *                     30000; 0 disables) — rides out coordinator
- *                     restarts and partitions
- *   --chunk N         cells per lease (default: auto)
- *   --keep-journal    keep PATH.journal after a successful sweep
- *   --journal-fsync   fsync every journal record (and the artifact
- *                     rename) so the sweep survives power loss, not
- *                     just process death; slower per cell
  *
  * Fault tolerance:
  *   --out PATH      write the artifact atomically (tmp+rename) to PATH
@@ -70,6 +31,22 @@
  *                   (status=failed) and keep sweeping; exit code 3
  *                   when any cell failed. Default is fail-fast.
  *   --retries N     attempts per cell before a failure counts (def. 1)
+ *   --keep-journal  keep PATH.journal after a successful sweep
+ *   --journal-fsync fsync every journal record (and the artifact
+ *                   rename) so the sweep survives power loss, not
+ *                   just process death; slower per cell
+ *
+ * Multi-host sweeps:
+ *   --shard I/N     simulate only the workloads whose position p in
+ *                   the suite list has p % N == I. Every cell's seed
+ *                   is keyed by its names, and the journal header
+ *                   does not record the shard, so shard journals
+ *                   merge with --shards into the full sweep's bytes.
+ *   --shards LIST   restore the cells of comma-separated journal
+ *                   files (e.g. PATH.journal of each --shard run) as
+ *                   already completed, then simulate whatever no
+ *                   shard covered. Every shard must come from the
+ *                   same sweep arguments; a mismatch is ConfigInvalid.
  *
  * Sampled sweeps (--sample-every, see svrsim_cli) append three CSV
  * columns (sample_windows, measured_instructions, cpi_stderr) and tag
@@ -77,19 +54,22 @@
  * rejects a journal written under different sampling.
  *
  * The SVRSIM_FAULT environment variable injects deterministic faults
- * for testing (see src/common/fault.hh for the grammar).
+ * for testing (see src/common/fault.hh for the grammar). A rejected
+ * argument or journal prints "error: ConfigInvalid: ..." and exits 1.
  *
  * Examples:
  *   svrsim_sweep --suite full --configs ino,svr16 > results.csv
  *   svrsim_sweep --suite quick --json --out results.json --resume
- *   svrsim_sweep --suite full --workers 8 --out results.csv
- *   svrsim_sweep --coordinator tcp:0.0.0.0:7707 --workers 2 --out r.csv
- *   svrsim_worker --connect tcp:buildhost:7707 --jobs 16
+ *   # on host A and host B:
+ *   svrsim_sweep --suite full --shard 0/2 --out a.csv --keep-journal
+ *   svrsim_sweep --suite full --shard 1/2 --out b.csv --keep-journal
+ *   # anywhere, with both journals copied over:
+ *   svrsim_sweep --suite full --shards a.csv.journal,b.csv.journal \
+ *                --out results.csv
  */
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -99,8 +79,8 @@
 #include "common/fault.hh"
 #include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/experiment.hh"
-#include "sim/fabric.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -138,14 +118,6 @@ fileExists(const std::string &path)
     return false;
 }
 
-std::string
-dirName(const std::string &path)
-{
-    const std::size_t slash = path.rfind('/');
-    return slash == std::string::npos ? std::string{}
-                                      : path.substr(0, slash);
-}
-
 int
 runSweep(int argc, char **argv)
 {
@@ -160,15 +132,9 @@ runSweep(int argc, char **argv)
     bool keep_journal = false;
     unsigned retries = 1;
     SamplingParams sampling;
-    unsigned workers = 0;
-    std::string coordinator_listen;
-    std::string worker_connect;
+    std::uint64_t shard_index = 0;
+    std::uint64_t shard_count = 1;
     std::string shards_arg;
-    int lease_timeout_ms = 60000;
-    int heartbeat_ms = 1000;
-    int hedge_ms = 0;
-    int reconnect_ms = 30000;
-    unsigned chunk = 0;
     bool journal_fsync = false;
 
     for (int i = 1; i < argc; i++) {
@@ -183,15 +149,15 @@ runSweep(int argc, char **argv)
         } else if (arg == "--configs") {
             configs_arg = next();
         } else if (arg == "--window") {
-            window = std::stoull(next());
+            window = parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next()));
+            jobs = parseNumber<unsigned>(arg, next());
         } else if (arg == "--sample-every") {
-            sampling.sampleEvery = std::stoull(next());
+            sampling.sampleEvery = parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--sample-window") {
-            sampling.sampleWindow = std::stoull(next());
+            sampling.sampleWindow = parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--warmup") {
-            sampling.warmup = std::stoull(next());
+            sampling.warmup = parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--out") {
@@ -203,65 +169,46 @@ runSweep(int argc, char **argv)
         } else if (arg == "--keep-journal") {
             keep_journal = true;
         } else if (arg == "--retries") {
-            retries = static_cast<unsigned>(std::stoul(next()));
+            retries = parseNumber<unsigned>(arg, next());
             if (retries == 0)
                 fatal("--retries must be >= 1");
-        } else if (arg == "--workers") {
-            workers = static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--coordinator") {
-            coordinator_listen = next();
-        } else if (arg == "--worker") {
-            worker_connect = next();
+        } else if (arg == "--shard") {
+            const std::string spec = next();
+            const std::size_t slash = spec.find('/');
+            if (slash == std::string::npos)
+                fatal("--shard: '%s' is not I/N", spec.c_str());
+            shard_index =
+                parseNumber<std::uint64_t>(arg, spec.substr(0, slash));
+            shard_count =
+                parseNumber<std::uint64_t>(arg, spec.substr(slash + 1));
+            if (shard_index >= shard_count)
+                fatal("--shard: '%s' needs I < N", spec.c_str());
         } else if (arg == "--shards") {
             shards_arg = next();
-        } else if (arg == "--lease-timeout") {
-            lease_timeout_ms = std::stoi(next());
-            if (lease_timeout_ms <= 0)
-                fatal("--lease-timeout must be > 0 ms");
-        } else if (arg == "--heartbeat-ms") {
-            heartbeat_ms = std::stoi(next());
-            if (heartbeat_ms <= 0)
-                fatal("--heartbeat-ms must be > 0");
-        } else if (arg == "--hedge-ms") {
-            hedge_ms = std::stoi(next());
-        } else if (arg == "--reconnect-ms") {
-            reconnect_ms = std::stoi(next());
-            if (reconnect_ms < 0)
-                fatal("--reconnect-ms must be >= 0");
         } else if (arg == "--journal-fsync") {
             journal_fsync = true;
-        } else if (arg == "--chunk") {
-            chunk = static_cast<unsigned>(std::stoul(next()));
         } else {
             fatal("unknown argument '%s' (see header comment)",
                   arg.c_str());
         }
     }
 
-    if (!worker_connect.empty()) {
-        // Worker mode: everything about the sweep arrives over the
-        // wire in WELCOME; local sweep flags would be ignored lies.
-        if (workers > 0 || !coordinator_listen.empty())
-            fatal("--worker excludes --workers/--coordinator");
-        WorkerOptions wopts;
-        wopts.connect = worker_connect;
-        wopts.jobs = jobs > 0 ? jobs : 1;
-        wopts.heartbeatMs = heartbeat_ms;
-        wopts.reconnectMs = reconnect_ms;
-        return runFabricWorker(wopts);
-    }
-
-    const bool fabric = workers > 0 || !coordinator_listen.empty();
     if (resume && out_path.empty())
         fatal("--resume requires --out PATH (the journal lives at "
               "PATH.journal)");
-    if (fabric && heartbeat_ms * 3 >= lease_timeout_ms)
-        fatal("--heartbeat-ms %d is too slow for --lease-timeout %d: "
-              "a busy worker must fit several heartbeats into one "
-              "timeout window (need heartbeat < leaseTimeout/3)",
-              heartbeat_ms, lease_timeout_ms);
 
-    std::vector<WorkloadSpec> workloads = suiteByName(suite);
+    std::vector<WorkloadSpec> workloads;
+    const std::vector<WorkloadSpec> suite_list = suiteByName(suite);
+    for (std::size_t p = 0; p < suite_list.size(); p++) {
+        if (p % shard_count == shard_index)
+            workloads.push_back(suite_list[p]);
+    }
+    if (shard_count > 1) {
+        inform("shard %llu/%llu: %zu of %zu workload(s)",
+               static_cast<unsigned long long>(shard_index),
+               static_cast<unsigned long long>(shard_count),
+               workloads.size(), suite_list.size());
+    }
 
     std::vector<SimConfig> configs;
     for (const std::string &name : split(configs_arg, ',')) {
@@ -332,56 +279,33 @@ runSweep(int argc, char **argv)
         }
     }
 
-    MatrixTiming timing;
-    std::vector<SimResult> results;
-
-    if (fabric) {
-        SweepSpec spec;
-        spec.key = key;
-        spec.keepGoing = keep_going;
-        spec.retries = retries;
-
-        FabricOptions fopts;
-        fopts.listen = coordinator_listen;
-        fopts.scratchDir = dirName(out_path);
-        fopts.spawnWorkers = workers;
-        fopts.workerJobs = jobs > 0 ? jobs : 1;
-        fopts.chunk = chunk;
-        fopts.leaseTimeoutMs = lease_timeout_ms;
-        fopts.heartbeatMs = heartbeat_ms;
-        fopts.hedgeMs = hedge_ms;
-        fopts.maxCellAttempts = retries > 3 ? retries : 3;
-
-        results = runFabricSweep(workloads, configs, spec, fopts,
-                                 completed, journal.get(), &timing);
-    } else {
-        if (!completed.empty()) {
-            opts.restoreCell = [&completed](const std::string &w,
-                                            const std::string &c,
-                                            SimResult &out) {
-                const auto it = completed.find({w, c});
-                if (it == completed.end())
-                    return false;
-                out = it->second;
-                return true;
-            };
-        }
-        if (journal) {
-            opts.onCellDone = [&journal, &faults](const SimResult &r) {
-                journal->append(r);
-                if (faults.shouldKill(r.workload, r.config)) {
-                    // Crash-safety test hook: die without any cleanup,
-                    // exactly like an external SIGKILL, right after
-                    // this cell hit the journal.
-                    warn("injected kill after cell %s/%s",
-                         r.workload.c_str(), r.config.c_str());
-                    std::raise(SIGKILL);
-                }
-            };
-        }
-        const auto matrix = runMatrix(workloads, configs, opts, &timing);
-        results = flattenMatrix(matrix);
+    if (!completed.empty()) {
+        opts.restoreCell = [&completed](const std::string &w,
+                                        const std::string &c,
+                                        SimResult &out) {
+            const auto it = completed.find({w, c});
+            if (it == completed.end())
+                return false;
+            out = it->second;
+            return true;
+        };
     }
+    if (journal) {
+        opts.onCellDone = [&journal, &faults](const SimResult &r) {
+            journal->append(r);
+            if (faults.shouldKill(r.workload, r.config)) {
+                // Crash-safety test hook: die without any cleanup,
+                // exactly like an external SIGKILL, right after this
+                // cell hit the journal.
+                warn("injected kill after cell %s/%s", r.workload.c_str(),
+                     r.config.c_str());
+                std::raise(SIGKILL);
+            }
+        };
+    }
+    MatrixTiming timing;
+    const std::vector<SimResult> results =
+        flattenMatrix(runMatrix(workloads, configs, opts, &timing));
 
     std::string content;
     if (json) {
@@ -410,6 +334,9 @@ int
 main(int argc, char **argv)
 {
     try {
+        // fatal() anywhere in the tool (a bad flag value, config or
+        // suite name) becomes a ConfigInvalid SimError reported below.
+        ScopedErrorCapture capture(ErrCode::ConfigInvalid);
         return runSweep(argc, argv);
     } catch (const SimError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/executor.hh"
 #include "isa/disassembler.hh"
 #include "mem/memory_system.hh"
@@ -59,9 +60,9 @@ main(int argc, char **argv)
         if (arg == "--workload")
             workload = next();
         else if (arg == "--count")
-            count = std::stoull(next());
+            count = parseNumber<std::uint64_t>(arg, next());
         else if (arg == "--skip")
-            skip = std::stoull(next());
+            skip = parseNumber<std::uint64_t>(arg, next());
         else if (arg == "--svr")
             with_svr = true;
         else
