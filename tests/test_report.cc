@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "sim/journal.hh"
 #include "sim/report.hh"
 #include "test_helpers.hh"
 
@@ -212,6 +213,46 @@ TEST(Report, GoldenCsvBytesUnchanged)
               "golden,cfg,1000,2500,0.4,2.5,1000,500,800,100,50,50,"
               "300,100,200,10,250,50,30,20,20,6,8,64,48,0.75,0.00925,"
               "ok,1,");
+}
+
+/**
+ * The journal record carries every SimResult stat, including the ones
+ * JSON/CSV never print (per-origin prefetch counts, the stride
+ * accuracy, SVR static energy, attempts, the error code and message),
+ * so its bytes are pinned here on top of the report goldens.
+ */
+TEST(Report, GoldenJournalBytesUnchanged)
+{
+    SimResult r = goldenResult();
+    r.prefIssued[0] = 11;
+    r.prefIssued[1] = 12;
+    r.prefIssued[2] = 13;
+    r.prefIssued[3] = 14;
+    r.strideAccuracyLlc = 0.625;
+    r.energy.svrStatic = 0.25;
+    r.attempts = 3;
+    r.errCode = "IoError";
+    r.errMessage = "disk 100% full";
+    EXPECT_EQ(journalLine(r),
+              "R1 golden cfg 0 3 IoError 1000 2500 300 100 200 10 64 48 "
+              "8 500 800 100 50 50 250 50 30 20 20 20 2 5 7 3 4 6 11 12 "
+              "13 14 0.75 0.5 0.625 1.5 2.5 0.5 0.25 1 0.75 3 "
+              "disk%20100%25%20full");
+    SimResult back;
+    ASSERT_TRUE(parseJournalLine(journalLine(r), back));
+    EXPECT_EQ(journalLine(back), journalLine(r));
+
+    r.sampled = true;
+    r.sampleWindows = 10;
+    r.measuredInstructions = 200;
+    r.cpiStderr = 0.1;
+    EXPECT_EQ(journalLine(r),
+              "R2 golden cfg 0 3 IoError 1000 2500 300 100 200 10 64 48 "
+              "8 500 800 100 50 50 250 50 30 20 20 20 2 5 7 3 4 6 11 12 "
+              "13 14 0.75 0.5 0.625 1.5 2.5 0.5 0.25 1 0.75 3 10 200 "
+              "0.10000000000000001 disk%20100%25%20full");
+    ASSERT_TRUE(parseJournalLine(journalLine(r), back));
+    EXPECT_EQ(journalLine(back), journalLine(r));
 }
 
 /** Sampled results gain exactly the gated extras, nothing else. */
