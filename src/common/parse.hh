@@ -12,6 +12,7 @@
 #define SVR_COMMON_PARSE_HH
 
 #include <string_view>
+#include <system_error>
 
 namespace svr
 {
@@ -24,6 +25,13 @@ namespace svr
  */
 template <typename T>
 T parseNumber(std::string_view what, std::string_view text);
+
+/**
+ * parseNumber() for stored data: instead of a fatal() it returns
+ * std::errc::invalid_argument or result_out_of_range (else errc{}).
+ */
+template <typename T>
+std::errc tryParseNumber(std::string_view text, T &value);
 
 } // namespace svr
 

@@ -14,6 +14,7 @@
 #include <functional>
 
 #include "core/core_stats.hh"
+#include "sim/stat_table.hh"
 
 namespace svr
 {
@@ -43,29 +44,18 @@ struct MeasureWindow
 
 /**
  * Rebaseline @p stats against the warmup-boundary snapshot @p base:
- * every counter becomes (end - boundary), and cycles are measured from
- * @p base_cycles (the cycle count at the boundary, computed with the
- * same end-of-run formula the core uses). Shared by both timing cores.
+ * every SVR_CORE_COUNTERS row becomes (end - boundary), but cycles are
+ * measured from @p base_cycles (the cycle count at the boundary, from
+ * the core's end-of-run formula), saturating at 0. Shared by both cores.
  */
 inline void
 subtractBaseline(CoreStats &stats, const CoreStats &base, Cycle base_cycles)
 {
-    stats.instructions -= base.instructions;
-    stats.cycles = stats.cycles > base_cycles
-                       ? stats.cycles - base_cycles
-                       : 0;
-    stats.loads -= base.loads;
-    stats.stores -= base.stores;
-    stats.branches -= base.branches;
-    stats.branchMispredicts -= base.branchMispredicts;
-    stats.transientScalars -= base.transientScalars;
-    stats.svrPrefetches -= base.svrPrefetches;
-    stats.svrRounds -= base.svrRounds;
-    stats.stackL2 -= base.stackL2;
-    stats.stackDram -= base.stackDram;
-    stats.stackBranch -= base.stackBranch;
-    stats.stackSvu -= base.stackSvu;
-    stats.stackOther -= base.stackOther;
+    const Cycle end_cycles = stats.cycles;
+#define SVR_SUBTRACT(field) stats.field -= base.field;
+    SVR_CORE_COUNTERS(SVR_SUBTRACT)
+#undef SVR_SUBTRACT
+    stats.cycles = end_cycles > base_cycles ? end_cycles - base_cycles : 0;
 }
 
 } // namespace svr

@@ -273,38 +273,10 @@ MemorySystem::reset()
         c = 0;
 }
 
-double
-MemorySystem::l1PrefetchAccuracy(PrefetchOrigin origin) const
-{
-    const auto i = static_cast<unsigned>(origin);
-    const std::uint64_t used = l1dCache.prefetchFirstUse[i];
-    const std::uint64_t unused = l1dCache.prefetchEvictedUnused[i];
-    if (used + unused == 0)
-        return 1.0;
-    return static_cast<double>(used) / static_cast<double>(used + unused);
-}
-
-double
-MemorySystem::llcPrefetchAccuracy(PrefetchOrigin origin) const
-{
-    const auto i = static_cast<unsigned>(origin);
-    const std::uint64_t used = l2Cache.prefetchFirstUse[i];
-    const std::uint64_t unused = l2Cache.prefetchEvictedUnused[i];
-    if (used + unused == 0)
-        return 1.0;
-    return static_cast<double>(used) / static_cast<double>(used + unused);
-}
-
 std::uint64_t
 MemorySystem::l1PrefFirstUse(PrefetchOrigin origin) const
 {
     return l1dCache.prefetchFirstUse[static_cast<unsigned>(origin)];
-}
-
-std::uint64_t
-MemorySystem::l1PrefEvictedUnused(PrefetchOrigin origin) const
-{
-    return l1dCache.prefetchEvictedUnused[static_cast<unsigned>(origin)];
 }
 
 std::uint64_t

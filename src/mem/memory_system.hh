@@ -104,6 +104,16 @@ struct DramTraffic
     }
 };
 
+/** firstUse / (firstUse + evictedUnused); 1.0 when both are 0. */
+inline double
+prefetchAccuracy(std::uint64_t first_use, std::uint64_t evicted_unused)
+{
+    if (first_use + evicted_unused == 0)
+        return 1.0;
+    return static_cast<double>(first_use) /
+           static_cast<double>(first_use + evicted_unused);
+}
+
 /**
  * The memory hierarchy. All timing questions ("when is this load's
  * value available?") are answered by access(); the functional value
@@ -153,19 +163,14 @@ class MemorySystem
         return prefIssuedCount[static_cast<unsigned>(origin)];
     }
 
-    /**
-     * L1-level prefetch accuracy for @p origin:
-     * firstUse / (firstUse + evictedUnused); 1.0 when no events.
-     * SVR's governor uses this window-free helper via raw counters.
-     */
-    double l1PrefetchAccuracy(PrefetchOrigin origin) const;
+    /** LLC prefetch accuracy (the paper's Figure 13a definition). */
+    double llcPrefetchAccuracy(PrefetchOrigin o) const
+    {
+        return prefetchAccuracy(llcPrefFirstUse(o), llcPrefEvictedUnused(o));
+    }
 
-    /** Same at the LLC (paper's Figure 13a definition). */
-    double llcPrefetchAccuracy(PrefetchOrigin origin) const;
-
-    /** Raw governor inputs: L1 first-use and evicted-unused counts. */
+    /** L1 first uses of prefetched lines. */
     std::uint64_t l1PrefFirstUse(PrefetchOrigin origin) const;
-    std::uint64_t l1PrefEvictedUnused(PrefetchOrigin origin) const;
 
     /**
      * LLC-level prefetch-use counts (first uses propagate from the L1

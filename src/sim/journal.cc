@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
+#include "sim/stat_table.hh"
 
 namespace svr
 {
@@ -56,7 +59,7 @@ unescapeField(const std::string &s)
     return out;
 }
 
-/** Exact double round-trip: %.17g out, correctly-rounded strtod in. */
+/** Exact double round-trip: %.17g out, correctly-rounded from_chars in. */
 void
 putDouble(std::ostringstream &os, double v)
 {
@@ -74,36 +77,22 @@ struct Reader
     explicit Reader(const std::string &line) : is(line) {}
 
     std::string
-    str()
+    token()
     {
         std::string tok;
         if (!(is >> tok))
             ok = false;
-        return unescapeField(tok);
+        return tok;
     }
 
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        if (!(is >> v))
-            ok = false;
-        return v;
-    }
+    std::string str() { return unescapeField(token()); }
 
-    double
-    f64()
+    template <typename T>
+    void
+    num(T &out)
     {
-        std::string tok;
-        if (!(is >> tok)) {
+        if (tryParseNumber(token(), out) != std::errc{})
             ok = false;
-            return 0.0;
-        }
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0')
-            ok = false;
-        return v;
     }
 };
 
@@ -137,31 +126,15 @@ journalLine(const SimResult &r)
     os << (r.sampled ? "R2 " : "R1 ") << escapeField(r.workload) << ' '
        << escapeField(r.config) << ' ' << (r.failed ? 1 : 0) << ' '
        << r.attempts << ' ' << escapeField(r.errCode);
-    os << ' ' << r.core.instructions << ' ' << r.core.cycles << ' '
-       << r.core.loads << ' ' << r.core.stores << ' ' << r.core.branches
-       << ' ' << r.core.branchMispredicts << ' '
-       << r.core.transientScalars << ' ' << r.core.svrPrefetches << ' '
-       << r.core.svrRounds << ' ' << r.core.stackL2 << ' '
-       << r.core.stackDram << ' ' << r.core.stackBranch << ' '
-       << r.core.stackSvu << ' ' << r.core.stackOther;
-    os << ' ' << r.l1dHits << ' ' << r.l1dMisses << ' ' << r.l2Hits
-       << ' ' << r.l2Misses << ' ' << r.dramTransfers << ' '
-       << r.traffic.demandData << ' ' << r.traffic.demandIfetch << ' '
-       << r.traffic.prefStride << ' ' << r.traffic.prefSvr << ' '
-       << r.traffic.prefImp << ' ' << r.traffic.writebacks << ' '
-       << r.tlbWalks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        os << ' ' << r.prefIssued[i];
-    putDouble(os, r.svrAccuracyLlc);
-    putDouble(os, r.impAccuracyLlc);
-    putDouble(os, r.strideAccuracyLlc);
-    putDouble(os, r.energy.coreStatic);
-    putDouble(os, r.energy.coreDynamic);
-    putDouble(os, r.energy.svrDynamic);
-    putDouble(os, r.energy.svrStatic);
-    putDouble(os, r.energy.cacheDynamic);
-    putDouble(os, r.energy.dramStatic);
-    putDouble(os, r.energy.dramDynamic);
+#define SVR_PUT_CORE(field) os << ' ' << r.core.field;
+#define SVR_PUT_MEM(field, source) os << ' ' << r.field;
+#define SVR_PUT_REAL(field) putDouble(os, r.field);
+    SVR_CORE_COUNTERS(SVR_PUT_CORE)
+    SVR_MEM_COUNTERS(SVR_PUT_MEM)
+    SVR_RESULT_REALS(SVR_PUT_REAL)
+#undef SVR_PUT_CORE
+#undef SVR_PUT_MEM
+#undef SVR_PUT_REAL
     if (r.sampled) {
         os << ' ' << r.sampleWindows << ' ' << r.measuredInstructions;
         putDouble(os, r.cpiStderr);
@@ -174,62 +147,34 @@ bool
 parseJournalLine(const std::string &line, SimResult &out)
 {
     Reader rd(line);
-    std::string tag;
-    if (!(rd.is >> tag) || (tag != "R1" && tag != "R2"))
+    const std::string tag = rd.token();
+    if (tag != "R1" && tag != "R2")
         return false;
 
     SimResult r;
     r.sampled = tag == "R2";
     r.workload = rd.str();
     r.config = rd.str();
-    r.failed = rd.u64() != 0;
-    r.attempts = static_cast<unsigned>(rd.u64());
+    std::uint64_t failed = 0;
+    rd.num(failed);
+    r.failed = failed != 0;
+    rd.num(r.attempts);
     r.errCode = rd.str();
-    r.core.instructions = rd.u64();
-    r.core.cycles = rd.u64();
-    r.core.loads = rd.u64();
-    r.core.stores = rd.u64();
-    r.core.branches = rd.u64();
-    r.core.branchMispredicts = rd.u64();
-    r.core.transientScalars = rd.u64();
-    r.core.svrPrefetches = rd.u64();
-    r.core.svrRounds = rd.u64();
-    r.core.stackL2 = rd.u64();
-    r.core.stackDram = rd.u64();
-    r.core.stackBranch = rd.u64();
-    r.core.stackSvu = rd.u64();
-    r.core.stackOther = rd.u64();
-    r.l1dHits = rd.u64();
-    r.l1dMisses = rd.u64();
-    r.l2Hits = rd.u64();
-    r.l2Misses = rd.u64();
-    r.dramTransfers = rd.u64();
-    r.traffic.demandData = rd.u64();
-    r.traffic.demandIfetch = rd.u64();
-    r.traffic.prefStride = rd.u64();
-    r.traffic.prefSvr = rd.u64();
-    r.traffic.prefImp = rd.u64();
-    r.traffic.writebacks = rd.u64();
-    r.tlbWalks = rd.u64();
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        r.prefIssued[i] = rd.u64();
-    r.svrAccuracyLlc = rd.f64();
-    r.impAccuracyLlc = rd.f64();
-    r.strideAccuracyLlc = rd.f64();
-    r.energy.coreStatic = rd.f64();
-    r.energy.coreDynamic = rd.f64();
-    r.energy.svrDynamic = rd.f64();
-    r.energy.svrStatic = rd.f64();
-    r.energy.cacheDynamic = rd.f64();
-    r.energy.dramStatic = rd.f64();
-    r.energy.dramDynamic = rd.f64();
+#define SVR_GET_CORE(field) rd.num(r.core.field);
+#define SVR_GET(field, ...) rd.num(r.field);
+    SVR_CORE_COUNTERS(SVR_GET_CORE)
+    SVR_MEM_COUNTERS(SVR_GET)
+    SVR_RESULT_REALS(SVR_GET)
+#undef SVR_GET_CORE
+#undef SVR_GET
     if (r.sampled) {
-        r.sampleWindows = rd.u64();
-        r.measuredInstructions = rd.u64();
-        r.cpiStderr = rd.f64();
+        rd.num(r.sampleWindows);
+        rd.num(r.measuredInstructions);
+        rd.num(r.cpiStderr);
     }
     r.errMessage = rd.str();
-    if (!rd.ok || r.workload.empty() || r.config.empty())
+    std::string extra;
+    if (rd.is >> extra || !rd.ok || r.workload.empty() || r.config.empty())
         return false;
     out = std::move(r);
     return true;
@@ -290,18 +235,7 @@ SweepJournal::append(const SimResult &r)
 JournalCells
 loadJournal(const std::string &path, const SweepKey &expect)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        ioError("open", path, errno);
-    std::string content;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        content.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error)
-        ioError("read", path, EIO);
+    const std::string content = readFile(path);
 
     // A record line is only trusted when newline-terminated: a crash
     // mid-append leaves a torn final line, which we drop.

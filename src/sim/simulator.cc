@@ -93,6 +93,47 @@ runTimingWindow(const SimConfig &config, MemorySystem &mem, Executor &exec,
     return stats;
 }
 
+MemCounters
+captureCounters(const MemorySystem &m)
+{
+    MemCounters c;
+    unsigned i = 0;
+#define SVR_CAPTURE(field, source) c.reported[i++] = source;
+    SVR_MEM_COUNTERS(SVR_CAPTURE)
+#undef SVR_CAPTURE
+    c.l1Accesses =
+        m.l1d().hits + m.l1d().misses + m.l1i().hits + m.l1i().misses;
+    c.l2Accesses = m.l2().hits + m.l2().misses;
+    for (unsigned o = 0; o < numPrefetchOrigins; o++) {
+        c.llcFirstUse[o] = m.llcPrefFirstUse(PrefetchOrigin(o));
+        c.llcEvictedUnused[o] = m.llcPrefEvictedUnused(PrefetchOrigin(o));
+    }
+    return c;
+}
+
+void
+finishResult(SimResult &r, const SimConfig &config, const MemCounters &mc)
+{
+    unsigned i = 0;
+#define SVR_ASSIGN(field, source) r.field = mc.reported[i++];
+    SVR_MEM_COUNTERS(SVR_ASSIGN)
+#undef SVR_ASSIGN
+    const auto accuracy = [&](PrefetchOrigin origin) {
+        const auto o = static_cast<unsigned>(origin);
+        return prefetchAccuracy(mc.llcFirstUse[o], mc.llcEvictedUnused[o]);
+    };
+    r.svrAccuracyLlc = accuracy(PrefetchOrigin::Svr);
+    r.impAccuracyLlc = accuracy(PrefetchOrigin::Imp);
+    r.strideAccuracyLlc = accuracy(PrefetchOrigin::Stride);
+
+    const CoreKind kind = config.core == CoreType::OutOfOrder
+                              ? CoreKind::OutOfOrder
+                              : CoreKind::InOrder;
+    const MemEnergyEvents ev{mc.l1Accesses, mc.l2Accesses, r.dramTransfers};
+    r.energy = computeEnergy(kind, config.core == CoreType::Svr, r.core, ev,
+                             config.energy);
+}
+
 SimResult
 simulate(const SimConfig &config, const WorkloadInstance &w)
 {
@@ -131,29 +172,7 @@ simulate(const SimConfig &config, const WorkloadInstance &w,
         std::chrono::steady_clock::now() - t_start;
     r.hostMillis = elapsed.count();
 
-    r.l1dHits = mem.l1d().hits;
-    r.l1dMisses = mem.l1d().misses;
-    r.l2Hits = mem.l2().hits;
-    r.l2Misses = mem.l2().misses;
-    r.dramTransfers = mem.dram().transfers();
-    r.traffic = mem.dramTraffic();
-    r.tlbWalks = mem.translation().walks;
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        r.prefIssued[i] = mem.prefIssued(static_cast<PrefetchOrigin>(i));
-    r.svrAccuracyLlc = mem.llcPrefetchAccuracy(PrefetchOrigin::Svr);
-    r.impAccuracyLlc = mem.llcPrefetchAccuracy(PrefetchOrigin::Imp);
-    r.strideAccuracyLlc = mem.llcPrefetchAccuracy(PrefetchOrigin::Stride);
-
-    const CoreKind kind = config.core == CoreType::OutOfOrder
-                              ? CoreKind::OutOfOrder
-                              : CoreKind::InOrder;
-    MemEnergyEvents ev;
-    ev.l1Accesses = mem.l1d().hits + mem.l1d().misses + mem.l1i().hits +
-                    mem.l1i().misses;
-    ev.l2Accesses = mem.l2().hits + mem.l2().misses;
-    ev.dramTransfers = mem.dram().transfers();
-    r.energy = computeEnergy(kind, config.core == CoreType::Svr, r.core, ev,
-                             config.energy);
+    finishResult(r, config, captureCounters(mem));
     return r;
 }
 

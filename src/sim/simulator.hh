@@ -17,6 +17,7 @@
 #include "energy/energy_model.hh"
 #include "mem/memory_system.hh"
 #include "sim/config.hh"
+#include "sim/stat_table.hh"
 #include "workloads/workload.hh"
 
 namespace svr
@@ -155,6 +156,26 @@ struct TimingWindow
     const SvrEngineSnapshot *svrIn = nullptr;
     SvrEngineSnapshot *svrOut = nullptr;
 };
+
+/**
+ * A MemorySystem's counters (or a sampled estimate): SVR_MEM_COUNTERS
+ * rows in table order, then the energy and accuracy inputs.
+ */
+struct MemCounters
+{
+    std::uint64_t reported[numMemCounters] = {};
+    std::uint64_t l1Accesses = 0; //!< L1D + L1I hits and misses, summed
+    std::uint64_t l2Accesses = 0; //!< L2 hits and misses, summed
+    std::uint64_t llcFirstUse[numPrefetchOrigins] = {};
+    std::uint64_t llcEvictedUnused[numPrefetchOrigins] = {};
+};
+
+/** Snapshot every counter of @p mem. */
+MemCounters captureCounters(const MemorySystem &mem);
+
+/** Set @p r's memory rows from @p mc, then accuracies and energy. */
+void finishResult(SimResult &r, const SimConfig &config,
+                  const MemCounters &mc);
 
 /**
  * Build the configured core (plus SVR engine / IMP prefetcher) over

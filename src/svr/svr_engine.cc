@@ -121,9 +121,7 @@ SvrEngine::updateGovernor()
         mem.llcPrefEvictedUnused(PrefetchOrigin::Svr) - governorUnusedBase;
     if (useful + unused < p.governorWarmup)
         return;
-    const double accuracy = static_cast<double>(useful) /
-                            static_cast<double>(useful + unused);
-    if (accuracy < p.governorThreshold) {
+    if (prefetchAccuracy(useful, unused) < p.governorThreshold) {
         banned = true;
         st.governorBans++;
         logEvent(SvrEventKind::GovernorBan, hslrPc, 0);

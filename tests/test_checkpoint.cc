@@ -88,25 +88,6 @@ expectCheckpointEq(const Checkpoint &a, const Checkpoint &b)
     EXPECT_EQ(a.svr.governorBanned, b.svr.governorBanned);
 }
 
-void
-expectStatsEq(const CoreStats &a, const CoreStats &b, const char *what)
-{
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts) << what;
-    EXPECT_EQ(a.transientScalars, b.transientScalars) << what;
-    EXPECT_EQ(a.svrPrefetches, b.svrPrefetches) << what;
-    EXPECT_EQ(a.svrRounds, b.svrRounds) << what;
-    EXPECT_EQ(a.stackL2, b.stackL2) << what;
-    EXPECT_EQ(a.stackDram, b.stackDram) << what;
-    EXPECT_EQ(a.stackBranch, b.stackBranch) << what;
-    EXPECT_EQ(a.stackSvu, b.stackSvu) << what;
-    EXPECT_EQ(a.stackOther, b.stackOther) << what;
-}
-
 TEST(Checkpoint, SerializeDeserializeRoundTrip)
 {
     const WorkloadInstance w = ckptWorkload();
@@ -229,7 +210,7 @@ TEST_P(CheckpointCores, TimingContinuationBitIdentical)
     const CoreStats b_stats =
         runTimingWindow(config, b_mem, b, *b_w.mem, {}, wd, tw);
 
-    expectStatsEq(a_stats, b_stats, coreTypeName(GetParam()));
+    test::expectStatsEqual(a_stats, b_stats, coreTypeName(GetParam()));
     for (RegId r = 0; r < numArchRegs; r++)
         ASSERT_EQ(a.readReg(r), b.readReg(r)) << "x" << unsigned(r);
     EXPECT_TRUE(a.flags() == b.flags());

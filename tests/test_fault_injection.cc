@@ -512,18 +512,49 @@ TEST(Journal, TornAndCorruptLinesAreSkippedOnLoad)
         journal.append(a);
         journal.append(b);
     }
+    // Complete records that must not parse: a negative counter (which
+    // istream >> would wrap to 2^64-1), a record with a trailing extra
+    // token, and an attempts count beyond UINT_MAX (2^32 + 1).
+    SimResult c;
+    c.workload = "W4";
+    c.config = "InO";
+    std::string negative = journalLine(c);
+    negative.replace(negative.find(" - 0 "), 5, " - -1 ");
+    c.workload = "W5";
+    const std::string trailing = journalLine(c) + " extra";
+    c.workload = "W6";
+    c.attempts = 7;
+    std::string attempts = journalLine(c);
+    attempts.replace(attempts.find(" 7 "), 3, " 4294967297 ");
+    const std::vector<std::string> corrupt = {negative, trailing, attempts};
+    for (const std::string &line : corrupt) {
+        SimResult parsed;
+        EXPECT_FALSE(parseJournalLine(line, parsed)) << line;
+    }
     // Simulate a crash mid-append: a torn record with no newline.
     {
         std::FILE *f = std::fopen(path.c_str(), "ab");
         ASSERT_NE(f, nullptr);
+        for (const std::string &line : corrupt)
+            std::fprintf(f, "%s\n", line.c_str());
         std::fputs("R1 W3 InO 0 1 - 123", f);
         std::fclose(f);
     }
+    ::testing::internal::CaptureStderr();
     const JournalCells cells = loadJournal(path, key);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(cells.size(), 2u);
     EXPECT_TRUE(cells.count({"W1", "InO"}));
     EXPECT_TRUE(cells.count({"W2", "SVR16"}));
     EXPECT_FALSE(cells.count({"W3", "InO"}));
+    // The journal is header, W1, W2, then the three corrupt records.
+    for (int line = 4; line <= 6; line++) {
+        EXPECT_NE(warnings.find("skipping corrupt record line " +
+                                std::to_string(line)),
+                  std::string::npos)
+            << warnings;
+    }
+    EXPECT_NE(warnings.find("dropping torn final line"), std::string::npos);
     std::remove(path.c_str());
 }
 

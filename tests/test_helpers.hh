@@ -1,13 +1,16 @@
 /**
  * @file
- * Shared helpers for the timing-model tests: canned workloads and
- * run harnesses.
+ * Shared helpers for the timing-model tests: canned workloads, run
+ * harnesses, and the stat-table comparator.
  */
 
 #ifndef SVR_TESTS_TEST_HELPERS_HH
 #define SVR_TESTS_TEST_HELPERS_HH
 
+#include <gtest/gtest.h>
+
 #include <memory>
+#include <string>
 
 #include "common/rng.hh"
 #include "core/executor.hh"
@@ -16,6 +19,8 @@
 #include "isa/program.hh"
 #include "mem/functional_memory.hh"
 #include "mem/memory_system.hh"
+#include "sim/simulator.hh"
+#include "sim/stat_table.hh"
 #include "svr/svr_engine.hh"
 #include "workloads/workload.hh"
 
@@ -135,6 +140,47 @@ runSvr(const WorkloadInstance &w, std::uint64_t max_instrs,
     if (engine_stats)
         *engine_stats = engine.stats();
     return stats;
+}
+
+/** How expectStatsEqual() compares the SVR_RESULT_REALS rows. */
+enum class RealsCompare
+{
+    Exact,    //!< bitwise (EXPECT_EQ)
+    DoubleEq, //!< within 4 ULPs (EXPECT_DOUBLE_EQ)
+};
+
+/** Every SVR_CORE_COUNTERS row of two CoreStats, compared exactly. */
+inline void
+expectStatsEqual(const CoreStats &a, const CoreStats &b,
+                 const std::string &what)
+{
+#define SVR_EXPECT_CORE(field)                                        \
+    EXPECT_EQ(a.field, b.field) << what << " core." #field;
+    SVR_CORE_COUNTERS(SVR_EXPECT_CORE)
+#undef SVR_EXPECT_CORE
+}
+
+/**
+ * Every stat-table row of two results: the core and memory counters
+ * exactly, the reals as @p reals says. @p what labels failures.
+ */
+inline void
+expectStatsEqual(const SimResult &a, const SimResult &b, RealsCompare reals,
+                 const std::string &what)
+{
+    expectStatsEqual(a.core, b.core, what);
+#define SVR_EXPECT_MEM(field, source)                                 \
+    EXPECT_EQ(a.field, b.field) << what << " " #field;
+    SVR_MEM_COUNTERS(SVR_EXPECT_MEM)
+#undef SVR_EXPECT_MEM
+#define SVR_EXPECT_REAL(field)                                        \
+    if (reals == RealsCompare::Exact) {                               \
+        EXPECT_EQ(a.field, b.field) << what << " " #field;            \
+    } else {                                                          \
+        EXPECT_DOUBLE_EQ(a.field, b.field) << what << " " #field;     \
+    }
+    SVR_RESULT_REALS(SVR_EXPECT_REAL)
+#undef SVR_EXPECT_REAL
 }
 
 } // namespace svr::test

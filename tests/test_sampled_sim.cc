@@ -46,49 +46,6 @@ samplingWorkload()
     return test::strideIndirect(1 << 13, 1 << 22, /*seed=*/11);
 }
 
-void
-expectResultsExactlyEqual(const SimResult &s, const SimResult &f)
-{
-    EXPECT_EQ(s.core.instructions, f.core.instructions);
-    EXPECT_EQ(s.core.cycles, f.core.cycles);
-    EXPECT_EQ(s.core.loads, f.core.loads);
-    EXPECT_EQ(s.core.stores, f.core.stores);
-    EXPECT_EQ(s.core.branches, f.core.branches);
-    EXPECT_EQ(s.core.branchMispredicts, f.core.branchMispredicts);
-    EXPECT_EQ(s.core.transientScalars, f.core.transientScalars);
-    EXPECT_EQ(s.core.svrPrefetches, f.core.svrPrefetches);
-    EXPECT_EQ(s.core.svrRounds, f.core.svrRounds);
-    EXPECT_EQ(s.core.stackL2, f.core.stackL2);
-    EXPECT_EQ(s.core.stackDram, f.core.stackDram);
-    EXPECT_EQ(s.core.stackBranch, f.core.stackBranch);
-    EXPECT_EQ(s.core.stackSvu, f.core.stackSvu);
-    EXPECT_EQ(s.core.stackOther, f.core.stackOther);
-    EXPECT_EQ(s.l1dHits, f.l1dHits);
-    EXPECT_EQ(s.l1dMisses, f.l1dMisses);
-    EXPECT_EQ(s.l2Hits, f.l2Hits);
-    EXPECT_EQ(s.l2Misses, f.l2Misses);
-    EXPECT_EQ(s.dramTransfers, f.dramTransfers);
-    EXPECT_EQ(s.traffic.demandData, f.traffic.demandData);
-    EXPECT_EQ(s.traffic.demandIfetch, f.traffic.demandIfetch);
-    EXPECT_EQ(s.traffic.prefStride, f.traffic.prefStride);
-    EXPECT_EQ(s.traffic.prefSvr, f.traffic.prefSvr);
-    EXPECT_EQ(s.traffic.prefImp, f.traffic.prefImp);
-    EXPECT_EQ(s.traffic.writebacks, f.traffic.writebacks);
-    EXPECT_EQ(s.tlbWalks, f.tlbWalks);
-    for (unsigned i = 0; i < numPrefetchOrigins; i++)
-        EXPECT_EQ(s.prefIssued[i], f.prefIssued[i]) << "origin " << i;
-    EXPECT_DOUBLE_EQ(s.svrAccuracyLlc, f.svrAccuracyLlc);
-    EXPECT_DOUBLE_EQ(s.impAccuracyLlc, f.impAccuracyLlc);
-    EXPECT_DOUBLE_EQ(s.strideAccuracyLlc, f.strideAccuracyLlc);
-    EXPECT_DOUBLE_EQ(s.energy.coreStatic, f.energy.coreStatic);
-    EXPECT_DOUBLE_EQ(s.energy.coreDynamic, f.energy.coreDynamic);
-    EXPECT_DOUBLE_EQ(s.energy.svrDynamic, f.energy.svrDynamic);
-    EXPECT_DOUBLE_EQ(s.energy.svrStatic, f.energy.svrStatic);
-    EXPECT_DOUBLE_EQ(s.energy.cacheDynamic, f.energy.cacheDynamic);
-    EXPECT_DOUBLE_EQ(s.energy.dramStatic, f.energy.dramStatic);
-    EXPECT_DOUBLE_EQ(s.energy.dramDynamic, f.energy.dramDynamic);
-}
-
 class DegenerateCores : public ::testing::TestWithParam<CoreType>
 {
 };
@@ -130,7 +87,8 @@ TEST_P(DegenerateCores, WindowCoveringRegionIsExact)
     EXPECT_EQ(sampled.sampleWindows, 1u);
     EXPECT_EQ(sampled.measuredInstructions, region);
     EXPECT_DOUBLE_EQ(sampled.cpiStderr, 0.0);
-    expectResultsExactlyEqual(sampled, full);
+    test::expectStatsEqual(sampled, full, test::RealsCompare::DoubleEq,
+                           coreTypeName(GetParam()));
 }
 
 /** Period larger than the whole region degenerates the same way. */
@@ -163,7 +121,8 @@ TEST_P(DegenerateCores, OversizedPeriodIsExact)
 
     EXPECT_EQ(sampled.sampleWindows, 1u);
     EXPECT_EQ(sampled.measuredInstructions, region);
-    expectResultsExactlyEqual(sampled, full);
+    test::expectStatsEqual(sampled, full, test::RealsCompare::DoubleEq,
+                           coreTypeName(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCores, DegenerateCores,

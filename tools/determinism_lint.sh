@@ -31,6 +31,9 @@ files=(
     src/sim/journal.cc
     src/sim/checkpoint.cc
     src/sim/experiment.cc
+    src/sim/simulator.cc
+    src/sim/sampled_sim.cc
+    src/sim/stat_table.hh
     src/common/stats.cc
     src/common/io.cc
     src/analysis/verifier.cc
