@@ -14,11 +14,11 @@
  *            differs. The sampling token (every/window/warmup) only
  *            appears for sampled sweeps, so non-sampled journals stay
  *            byte-identical to the original format.
- *   others:  "R1 <fixed-order fields> <errMessage...>" — one completed
- *            cell; strings are %-escaped, errMessage is the
- *            rest-of-line. Sampled cells are "R2" records: the same
- *            fields plus sample_windows/measured_instructions/
- *            cpi_stderr before errMessage.
+ *   others:  "R1 <labels> <stat-table rows> <errMessage>" — one
+ *            completed cell; rows in sim/stat_table.hh order, strings
+ *            %-escaped into single tokens. Sampled cells are "R2"
+ *            records: the same fields plus sample_windows/
+ *            measured_instructions/cpi_stderr before errMessage.
  * A torn final line (crash mid-append) is ignored on load.
  */
 
@@ -69,8 +69,8 @@ using JournalCells =
 std::string journalLine(const SimResult &r);
 
 /**
- * Parse one "R1 ..." line. Returns false on a torn/corrupt line
- * (callers skip it) — never throws.
+ * Parse one "R1 ..." line. Returns false on a torn/corrupt line — a
+ * missing, malformed or extra token (callers skip it); never throws.
  */
 bool parseJournalLine(const std::string &line, SimResult &out);
 
