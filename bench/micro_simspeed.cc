@@ -162,7 +162,7 @@ BENCHMARK(BM_SvrRound)->UseManualTime()->Unit(benchmark::kMillisecond);
 // -- Primitive costs ------------------------------------------------------
 
 // Batch interpreter throughput (Executor::run, the threaded-dispatch
-// loop used by checkpoint fast-forward); per-instruction cost.
+// loop sampled simulation fast-forwards with); per-instruction cost.
 void
 BM_FunctionalExecutor(benchmark::State &state)
 {

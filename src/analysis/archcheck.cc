@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/checkpoint.hh"
 #include "svr/svr_engine.hh"
 #include "svr/taint_tracker.hh"
 
@@ -38,21 +37,26 @@ ArchCheck::ArchCheck(WorkloadInstance twin_instance)
 {
 }
 
-ArchCheck::ArchCheck(WorkloadInstance twin_instance, const Checkpoint &ck)
-    : twin(validated(std::move(twin_instance))),
-      refExec(*twin.program, *twin.mem)
-{
-    restoreCheckpoint(ck, refExec, *twin.mem);
-}
-
 SimHooks
 ArchCheck::hooks()
 {
     SimHooks h;
     h.commit = this;
     h.onExecutor = [this](const Executor &e) { mainExec = &e; };
-    h.onSvrEngine = [this](const SvrEngine &e) { engine = &e; };
+    h.onSvrEngine = [this](const SvrEngine &e) { attachEngine(e); };
     return h;
+}
+
+void
+ArchCheck::attachEngine(const SvrEngine &e)
+{
+    // Each timing window builds its own core and engine, whose clock
+    // and counters start from zero: monotonicity is per window.
+    engine = &e;
+    lastCommitCycle = 0;
+    wasInRunahead = false;
+    lastRounds = lastScalars = lastPrefetches = lastMaskedLanes = 0;
+    lastMask.clear();
 }
 
 void

@@ -21,7 +21,9 @@
  *    register compare proves the SRF never wrote back;
  *  - divergence masks only ever clear lanes within a round;
  *  - engine counters (rounds/scalars/prefetches/masked lanes) are
- *    monotone.
+ *    monotone within a timing window (each window builds a fresh
+ *    engine, so one checker can span several windows on one executor,
+ *    as the sampled driver runs them).
  *
  * The per-commit hook only fires in SVR_ARCHCHECK builds (default ON,
  * forced OFF for CMAKE_BUILD_TYPE=Release), so release bench numbers
@@ -54,15 +56,6 @@ class ArchCheck : public CommitHook
      */
     explicit ArchCheck(WorkloadInstance twin);
 
-    /**
-     * Lockstep from a mid-region checkpoint: @p twin is restored from
-     * @p ck (memory image + architectural state), so the reference
-     * execution starts exactly where the checkpointed machine stopped.
-     * Lets fuzzers validate a run resumed from a checkpoint against
-     * the same contract as a from-scratch run.
-     */
-    ArchCheck(WorkloadInstance twin, const struct Checkpoint &ck);
-
     /** True when the cores' per-commit call sites are compiled in. */
     static constexpr bool
     enabled()
@@ -89,6 +82,7 @@ class ArchCheck : public CommitHook
     std::uint64_t commitsChecked() const { return checked; }
 
   private:
+    void attachEngine(const SvrEngine &e);
     void checkDynInst(const DynInst &dyn, const DynInst &ref) const;
     void checkArchState(const DynInst &dyn) const;
     void checkStore(const DynInst &dyn) const;

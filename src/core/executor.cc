@@ -82,44 +82,6 @@ Executor::restart()
     seq = 0;
 }
 
-ExecArchState
-Executor::exportArchState() const
-{
-    ExecArchState s;
-    for (unsigned r = 0; r < numArchRegs; r++)
-        s.regs[r] = regs[r];
-    s.flags = flagState;
-    s.pcIndex = pcIdx;
-    s.halted = isHalted;
-    s.seq = seq;
-    return s;
-}
-
-void
-Executor::importArchState(const ExecArchState &state)
-{
-    // A halted executor may legitimately sit one past the last
-    // instruction (fall-off-end halt); anything further means the
-    // state belongs to a different program.
-    if (state.pcIndex > progSize ||
-        (state.pcIndex == progSize && !state.halted)) {
-        panic("Executor::importArchState: pc index %llu outside "
-              "program '%s' (%zu instructions)",
-              static_cast<unsigned long long>(state.pcIndex),
-              prog.name().c_str(), progSize);
-    }
-    for (unsigned r = 0; r < numArchRegs; r++)
-        regs[r] = state.regs[r];
-    regs[0] = 0;            // x0 is architecturally zero, even if the
-                            // imported image was hand-built otherwise
-    regs[zeroReadSlot] = 0; // the padded always-zero slot stays zero
-    regs[writeSinkSlot] = 0;
-    flagState = state.flags;
-    pcIdx = static_cast<std::size_t>(state.pcIndex);
-    isHalted = state.halted;
-    seq = state.seq;
-}
-
 /*
  * Handler bodies are shared between the threaded and switch builds;
  * only the way control reaches a handler differs. Every opcode in the

@@ -21,24 +21,6 @@ namespace svr
 {
 
 /**
- * A copyable snapshot of everything architectural the Executor owns:
- * the register file, flags, PC, halt latch, and dynamic instruction
- * count. Together with a FunctionalMemory page image this is the
- * complete restart state of a functional execution (sim/checkpoint.hh
- * serializes both into a restorable artifact).
- */
-struct ExecArchState
-{
-    std::array<RegVal, numArchRegs> regs{};
-    Flags flags;
-    std::uint64_t pcIndex = 0;
-    bool halted = false;
-    SeqNum seq = 0;
-
-    bool operator==(const ExecArchState &) const = default;
-};
-
-/**
  * Architectural state + interpreter. The timing model calls step() to
  * obtain the next dynamic instruction; values/addresses/outcomes are
  * resolved immediately (functional-first execution, as in Sniper).
@@ -74,10 +56,10 @@ class Executor
 
     /**
      * Execute up to @p n instructions discarding the dynamic stream
-     * (checkpoint fast-forward). Stops early on halt; returns the
-     * number actually executed. Architecturally identical to calling
-     * step() @p n times, but the in-TU loop lets the compiler drop the
-     * per-instruction DynInst materialization.
+     * (sampled-simulation fast-forward). Stops early on halt; returns
+     * the number actually executed. Architecturally identical to
+     * calling step() @p n times, but the in-TU loop lets the compiler
+     * drop the per-instruction DynInst materialization.
      */
     std::uint64_t run(std::uint64_t n);
 
@@ -123,16 +105,6 @@ class Executor
 
     /** Restart from instruction 0 with zeroed registers. */
     void restart();
-
-    /** Copy out the complete architectural state (checkpointing). */
-    ExecArchState exportArchState() const;
-
-    /**
-     * Overwrite the architectural state with @p state (checkpoint
-     * restore). The PC must lie within the bound program (panics
-     * otherwise — a checkpoint taken against a different program).
-     */
-    void importArchState(const ExecArchState &state);
 
   private:
     /**

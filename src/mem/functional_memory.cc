@@ -1,7 +1,5 @@
 #include "mem/functional_memory.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace svr
@@ -89,58 +87,6 @@ void
 FunctionalMemory::writeDouble(Addr addr, double v)
 {
     write64(addr, std::bit_cast<std::uint64_t>(v));
-}
-
-std::vector<FunctionalMemory::PageRef>
-FunctionalMemory::snapshotPages() const
-{
-    std::vector<PageRef> pages;
-    pages.reserve(numPages);
-    for (const auto &[dir_num, dir] : dirs) {
-        for (std::size_t i = 0; i < dirFanout; i++) {
-            if (const Page *page = (*dir)[i].get()) {
-                pages.push_back(
-                    {(dir_num << dirBits) | static_cast<Addr>(i),
-                     page->data()});
-            }
-        }
-    }
-    std::sort(pages.begin(), pages.end(),
-              [](const PageRef &a, const PageRef &b) {
-                  return a.pageNum < b.pageNum;
-              });
-    return pages;
-}
-
-void
-FunctionalMemory::clear()
-{
-    dirs.clear();
-    numPages = 0;
-    allocCursor = dataBase;
-    tcTag.fill(~static_cast<Addr>(0));
-    tcData.fill(nullptr);
-    dcTag.fill(~static_cast<Addr>(0));
-    dcDir.fill(nullptr);
-}
-
-void
-FunctionalMemory::installPage(Addr page_num, const std::uint8_t *data)
-{
-    std::uint8_t *dst = translateOrCreate(page_num << pageShift);
-    std::memcpy(dst, data, pageBytes);
-}
-
-void
-FunctionalMemory::setAllocTop(Addr top)
-{
-    if (top < dataBase) {
-        panic("FunctionalMemory::setAllocTop: cursor %llx below the "
-              "data base %llx",
-              static_cast<unsigned long long>(top),
-              static_cast<unsigned long long>(dataBase));
-    }
-    allocCursor = top;
 }
 
 Addr

@@ -28,7 +28,6 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -110,44 +109,6 @@ class FunctionalMemory
 
     /** Total bytes handed out by alloc(). */
     std::uint64_t bytesAllocated() const { return allocCursor - dataBase; }
-
-    // ---- Checkpointing (sim/checkpoint.hh) ----------------------------
-
-    /** One materialized page: number (addr >> 12) + its 4 KiB image. */
-    struct PageRef
-    {
-        Addr pageNum = 0;
-        const std::uint8_t *data = nullptr; //!< pageBytes bytes
-    };
-
-    /**
-     * Every materialized page, sorted by page number (deterministic
-     * order for serialization). Pointers remain valid until the next
-     * write()/restore()/clear() on this memory.
-     */
-    std::vector<PageRef> snapshotPages() const;
-
-    /**
-     * Drop every page and translation-cache entry and reset the bump
-     * allocator, returning to the freshly-constructed state.
-     */
-    void clear();
-
-    /**
-     * Materialize page @p page_num and overwrite it with @p data
-     * (pageBytes bytes). Restore path: callers clear() first, then
-     * install each snapshot page.
-     */
-    void installPage(Addr page_num, const std::uint8_t *data);
-
-    /** Raw bump-allocator cursor (absolute address), for checkpoints. */
-    Addr allocTop() const { return allocCursor; }
-
-    /**
-     * Restore the bump-allocator cursor. @p top must be >= the data
-     * base (the freshly-constructed cursor); panics otherwise.
-     */
-    void setAllocTop(Addr top);
 
   private:
     static constexpr Addr dataBase = 0x10000000;
@@ -241,7 +202,7 @@ class FunctionalMemory
     // particular covers all of a workload's hot 2 MiB regions at once,
     // keeping the root hash map off the per-access path entirely —
     // sized for paper-scale footprints (64 x 2 MiB = 128 MiB), where
-    // the checkpoint fast-forward path lives or dies by it.
+    // the sampled-simulation fast-forward path lives or dies by it.
     static constexpr std::size_t tcEntries = 64;
     mutable std::array<Addr, tcEntries> tcTag;
     mutable std::array<std::uint8_t *, tcEntries> tcData{};

@@ -4,6 +4,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace svr
 {
@@ -105,9 +106,10 @@ std::uint64_t
 simWindow()
 {
     if (const char *env = std::getenv("SVR_WINDOW")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
+        std::uint64_t v = 0;
+        if (tryParseNumber<std::uint64_t>(env, v) == std::errc{} && v > 0)
             return v;
+        warn("ignoring SVR_WINDOW='%s' (want a positive integer)", env);
     }
     return 400000;
 }

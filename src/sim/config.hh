@@ -108,7 +108,8 @@ SimConfig byName(const std::string &name);
 
 /**
  * Simulation window length, overridable with the SVR_WINDOW
- * environment variable (instructions per run; default 400000).
+ * environment variable (instructions per run; default 400000). A value
+ * that is not a positive decimal integer is ignored with a warning.
  */
 std::uint64_t simWindow();
 

@@ -13,12 +13,6 @@
 namespace svr
 {
 
-std::uint64_t
-fastForward(Executor &exec, std::uint64_t n)
-{
-    return exec.run(n);
-}
-
 namespace
 {
 
@@ -96,7 +90,7 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         const std::uint64_t ff_target =
             period - window_target - warmup_target;
 
-        const std::uint64_t ffed = fastForward(exec, ff_target);
+        const std::uint64_t ffed = exec.run(ff_target);
         done += ffed;
         if (ffed < ff_target || exec.halted()) {
             unsampled += ffed;
@@ -117,11 +111,11 @@ simulateSampled(const SimConfig &config, const WorkloadInstance &w,
         tw.svrIn = have_svr ? &svr_state : nullptr;
         tw.svrOut = &svr_state;
 
-        const std::uint64_t seq_before = exec.exportArchState().seq;
+        const std::uint64_t seq_before = exec.instructionsExecuted();
         const CoreStats ws =
             runTimingWindow(config, mem, exec, *w.mem, hooks, wd, tw);
         const std::uint64_t committed =
-            exec.exportArchState().seq - seq_before;
+            exec.instructionsExecuted() - seq_before;
         done += committed;
         have_svr = config.core == CoreType::Svr;
 

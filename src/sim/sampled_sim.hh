@@ -45,12 +45,6 @@ struct SampleWindow
 };
 
 /**
- * Advance @p exec by up to @p n instructions functionally (no timing).
- * Returns the number actually stepped (short when the program halts).
- */
-std::uint64_t fastForward(Executor &exec, std::uint64_t n);
-
-/**
  * Run @p config on @p w with sampling (config.sampling must be
  * enabled; simulate() dispatches here automatically). The returned
  * SimResult carries whole-region estimates: instructions is exact,

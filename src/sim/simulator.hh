@@ -41,7 +41,10 @@ struct SimHooks
     CommitHook *commit = nullptr;
     /** Called once with the run's executor, before the timing loop. */
     std::function<void(const Executor &)> onExecutor;
-    /** Called once with the SVR engine (CoreType::Svr runs only). */
+    /**
+     * Called with the SVR engine before each timing segment starts
+     * (CoreType::Svr runs only).
+     */
     std::function<void(const SvrEngine &)> onSvrEngine;
     /**
      * Called with the SVR engine after each timing segment completes,

@@ -45,8 +45,9 @@ struct StrideEntry
      * Oracle-seeded entry awaiting its first observation: prevAddress
      * is meaningless until the first real access adopts it, so that
      * observation must not decay the seeded confidence. Transient
-     * (deliberately not checkpointed; a restored entry re-trains in
-     * two observations like ordinary hardware state).
+     * (deliberately not carried across sampled-simulation windows; an
+     * imported entry re-trains in two observations like ordinary
+     * hardware state).
      */
     bool primed = false;
 };
@@ -120,7 +121,7 @@ class StrideDetector
     /** Confidence threshold for "is striding". */
     unsigned confidenceThreshold() const { return p.confidenceThreshold; }
 
-    // ---- Warm-state transfer (sampled simulation / checkpoints) ----
+    // ---- Warm-state transfer (sampled-simulation windows) ----
 
     /** The full table, slot by slot (invalid entries included). */
     const std::vector<StrideEntry> &entries() const { return table; }

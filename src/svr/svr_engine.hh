@@ -159,9 +159,10 @@ struct SvrEngineStats
 /**
  * Persistent (cross-run) SVR predictor state: the stride-detector
  * SRAM plus the accuracy-governor ban flag. This is what survives a
- * sampled-simulation window boundary or a checkpoint — transient round
- * state (PRM, masks, SRF) never does; a restored engine starts outside
- * a round, exactly like hardware resuming from a context switch.
+ * sampled-simulation window boundary — transient round state (PRM,
+ * masks, SRF) never does; an engine that imports a snapshot starts
+ * outside a round, exactly like hardware resuming from a context
+ * switch.
  */
 struct SvrEngineSnapshot
 {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "common/error.hh"
 #include "isa/program.hh"
 #include "mem/cache.hh"
@@ -145,6 +148,34 @@ TEST(ConfigValidation, AcceptsEveryPreset)
     EXPECT_NO_THROW(validateConfig(presets::impCore()));
     EXPECT_NO_THROW(validateConfig(presets::outOfOrder()));
     EXPECT_NO_THROW(validateConfig(presets::svrCore(16)));
+}
+
+TEST(Presets, SimWindowParsesEnvStrictly)
+{
+    const char *saved = std::getenv("SVR_WINDOW");
+    const std::string restore = saved ? saved : "";
+
+    ::setenv("SVR_WINDOW", "20000", 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(presets::simWindow(), 20000u);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    // Suffixes, signs and zero are warned about and fall back to the
+    // default rather than silently becoming some other window.
+    for (const char *bad : {"20k", "-5", "0"}) {
+        ::setenv("SVR_WINDOW", bad, 1);
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(presets::simWindow(), 400000u) << bad;
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("ignoring SVR_WINDOW='" + std::string(bad)),
+                  std::string::npos)
+            << bad << ": " << err;
+    }
+
+    if (saved)
+        ::setenv("SVR_WINDOW", restore.c_str(), 1);
+    else
+        ::unsetenv("SVR_WINDOW");
 }
 
 TEST(ConfigValidation, RejectsZeroWindow)

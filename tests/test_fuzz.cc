@@ -18,7 +18,6 @@
 #include "core/inorder_core.hh"
 #include "core/ooo_core.hh"
 #include "mem/memory_system.hh"
-#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "svr/svr_engine.hh"
 #include "workloads/workload.hh"
@@ -203,21 +202,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPrograms,
                          ::testing::Range<std::uint64_t>(100, 124));
 
 /**
- * Randomized checkpoint placement: cut each fuzz program at an
- * arbitrary commit — which lands in arbitrary machine states: mid-SVR-
- * round (the first segment runs under a live runahead engine), right
- * after the generator's +1-offset bounded stores (page-straddling
- * write boundaries) — serialize + restore, and finish the run on SVR
- * timing. The resumed half is cross-checked commit-by-commit against a
- * lockstep twin restored from the same serialized artifact (ArchCheck)
- * and the final architectural state must match the uninterrupted
- * functional reference exactly.
+ * Randomized sampled-simulation window boundary: cut each fuzz program
+ * at an arbitrary commit — which lands in arbitrary machine states:
+ * mid-SVR-round, right after the generator's +1-offset bounded stores
+ * (page-straddling write boundaries) — and run the two halves as two
+ * SVR timing windows on the same executor, exactly as the sampled
+ * driver does: the second window gets a fresh MemorySystem and a fresh
+ * engine warmed with the first window's predictor snapshot. One
+ * ArchCheck validates every commit of both windows against a lockstep
+ * twin, and the final architectural state must match the functional
+ * reference exactly.
  */
-class CheckpointFuzz : public ::testing::TestWithParam<std::uint64_t>
+class WindowBoundaryFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
-TEST_P(CheckpointFuzz, ResumedSvrRunMatchesReferenceUnderLockstep)
+TEST_P(WindowBoundaryFuzz, SplitSvrRunMatchesReferenceUnderLockstep)
 {
     const std::uint64_t seed = GetParam();
 
@@ -235,60 +235,51 @@ TEST_P(CheckpointFuzz, ResumedSvrRunMatchesReferenceUnderLockstep)
     ASSERT_GT(total, 2u);
     const std::uint64_t n1 = 1 + rng.nextBounded(total - 2);
 
-    // Segment 1 under SVR timing, so the checkpoint is taken from a
-    // machine with a warm (possibly mid-round) runahead engine.
-    const WorkloadInstance w1 = branchyProgram(seed);
-    Executor exec1(*w1.program, *w1.mem);
-    MemorySystem mem1(MemParams{});
-    SvrParams sp;
-    sp.vectorLength = 16;
-    SvrEngine engine1(sp, mem1, exec1);
-    InOrderCore core1(InOrderParams{}, mem1);
-    core1.setRunaheadEngine(&engine1);
-    core1.run(exec1, n1);
-    ASSERT_FALSE(exec1.halted()) << "seed " << seed << " n1 " << n1;
-
-    const Checkpoint ck = deserializeCheckpoint(serializeCheckpoint(
-        captureCheckpoint(exec1, *w1.mem, w1.name, &engine1)));
-    ASSERT_EQ(ck.instructions, exec1.instructionsExecuted());
-    ASSERT_TRUE(ck.hasSvr);
-
-    // Segment 2: restore into a fresh instance and finish the run.
-    const WorkloadInstance w2 = branchyProgram(seed);
-    Executor exec2(*w2.program, *w2.mem);
-    restoreCheckpoint(ck, exec2, *w2.mem);
-
     const SimConfig config = presets::svrCore(16);
-    ArchCheck ac(branchyProgram(seed), ck);
+    const WatchdogParams wd = resolveWatchdog(config);
+    const WorkloadInstance w = branchyProgram(seed);
+    Executor exec(*w.program, *w.mem);
+    ArchCheck ac(branchyProgram(seed));
     SimHooks hooks;
     if (ArchCheck::enabled()) {
         hooks = ac.hooks();
         // simulate() fires onExecutor; we drive runTimingWindow
         // directly, so fire it by hand.
-        hooks.onExecutor(exec2);
+        hooks.onExecutor(exec);
     }
-    MemorySystem mem2(MemParams{});
-    TimingWindow window;
-    window.maxInstructions = 1u << 23;
-    window.svrIn = &ck.svr;
-    runTimingWindow(config, mem2, exec2, *w2.mem, hooks,
-                    resolveWatchdog(config), window);
 
-    ASSERT_TRUE(exec2.halted()) << "seed " << seed << " n1 " << n1;
-    EXPECT_EQ(exec2.instructionsExecuted(), total);
+    // Window 1 ends at the cut, possibly mid-round.
+    SvrEngineSnapshot svr_state;
+    MemorySystem mem1(config.mem);
+    TimingWindow first;
+    first.maxInstructions = n1;
+    first.svrOut = &svr_state;
+    runTimingWindow(config, mem1, exec, *w.mem, hooks, wd, first);
+    ASSERT_FALSE(exec.halted()) << "seed " << seed << " n1 " << n1;
+    ASSERT_EQ(exec.instructionsExecuted(), n1);
+
+    // Window 2 finishes the run over fresh timing state.
+    MemorySystem mem2(config.mem);
+    TimingWindow second;
+    second.maxInstructions = 1u << 23;
+    second.svrIn = &svr_state;
+    runTimingWindow(config, mem2, exec, *w.mem, hooks, wd, second);
+
+    ASSERT_TRUE(exec.halted()) << "seed " << seed << " n1 " << n1;
+    EXPECT_EQ(exec.instructionsExecuted(), total);
     for (RegId r = 0; r < numArchRegs; r++) {
-        ASSERT_EQ(exec2.readReg(r), ref.readReg(r))
+        ASSERT_EQ(exec.readReg(r), ref.readReg(r))
             << "seed " << seed << " n1 " << n1 << " x" << unsigned(r);
     }
-    EXPECT_EQ(memoryFingerprint(*w2.mem, data_base), ref_fp)
+    EXPECT_EQ(memoryFingerprint(*w.mem, data_base), ref_fp)
         << "seed " << seed << " n1 " << n1;
     if (ArchCheck::enabled()) {
-        EXPECT_EQ(ac.commitsChecked(), total - n1);
+        EXPECT_EQ(ac.commitsChecked(), total);
         ac.finish();
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, WindowBoundaryFuzz,
                          ::testing::Range<std::uint64_t>(200, 216));
 
 /**

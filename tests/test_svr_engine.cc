@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/executor.hh"
@@ -493,6 +494,55 @@ TEST(SvrEngine, SrfPressureLosesChainsButDoesNotCrash)
     EngineHarness h(test::strideIndirect(1 << 14, 1 << 18), sp);
     h.run(20000);
     EXPECT_GT(h.engine.stats().rounds, 0u);
+}
+
+void
+expectSnapshotEq(const SvrEngineSnapshot &a, const SvrEngineSnapshot &b)
+{
+    ASSERT_EQ(a.strideEntries.size(), b.strideEntries.size());
+    for (std::size_t i = 0; i < a.strideEntries.size(); i++) {
+        const StrideEntry &x = a.strideEntries[i];
+        const StrideEntry &y = b.strideEntries[i];
+        EXPECT_EQ(x.pc, y.pc) << "entry " << i;
+        EXPECT_EQ(x.valid, y.valid) << "entry " << i;
+        EXPECT_EQ(x.prevAddress, y.prevAddress) << "entry " << i;
+        EXPECT_EQ(x.stride, y.stride) << "entry " << i;
+        EXPECT_EQ(x.satCounter, y.satCounter) << "entry " << i;
+        EXPECT_EQ(x.lastPrefetch, y.lastPrefetch) << "entry " << i;
+        EXPECT_EQ(x.hasLastPrefetch, y.hasLastPrefetch) << "entry " << i;
+        EXPECT_EQ(x.seen, y.seen) << "entry " << i;
+        EXPECT_EQ(x.lil, y.lil) << "entry " << i;
+        EXPECT_EQ(x.lilConfidence, y.lilConfidence) << "entry " << i;
+        EXPECT_EQ(x.hasLil, y.hasLil) << "entry " << i;
+        EXPECT_EQ(x.uselessRounds, y.uselessRounds) << "entry " << i;
+        EXPECT_EQ(x.lastUse, y.lastUse) << "entry " << i;
+    }
+    EXPECT_EQ(a.strideClock, b.strideClock);
+    EXPECT_EQ(a.governorBanned, b.governorBanned);
+}
+
+/**
+ * The predictor SRAM the sampled driver hands from window to window:
+ * a fresh engine that imports a warm engine's snapshot exports the
+ * same state right back, ban flag included.
+ */
+TEST(SvrEngine, PredictorStateRoundTripsThroughSnapshot)
+{
+    EngineHarness warm(test::strideIndirect(1 << 14, 1 << 18));
+    warm.run(30000);
+    SvrEngineSnapshot snap = warm.engine.exportState();
+    ASSERT_GT(snap.strideClock, 0u);
+    ASSERT_TRUE(std::any_of(snap.strideEntries.begin(),
+                            snap.strideEntries.end(),
+                            [](const StrideEntry &e) { return e.valid; }));
+
+    for (const bool banned : {false, true}) {
+        snap.governorBanned = banned;
+        EngineHarness fresh(test::strideIndirect(1 << 14, 1 << 18));
+        fresh.engine.importState(snap);
+        EXPECT_EQ(fresh.engine.governorBanned(), banned);
+        expectSnapshotEq(fresh.engine.exportState(), snap);
+    }
 }
 
 } // namespace

@@ -57,6 +57,7 @@
 #include "common/error.hh"
 #include "common/io.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/executor.hh"
 #include "mem/cache.hh"
 #include "mem/functional_memory.hh"
@@ -135,10 +136,10 @@ nsPerCall(unsigned reps, std::uint64_t iters, Fn &&fn)
 
 /**
  * ns per functionally executed instruction through the threaded-code
- * dispatch loop (Executor::run batches — the path the sampled-sim
- * checkpoint fast-forward and functional warmup actually ride; the
- * per-DynInst step() entry point adds a fixed call/materialize cost on
- * top and is exercised by every timing-core measurement above).
+ * dispatch loop (Executor::run batches — the path sampled
+ * simulation's fast-forward actually rides; the per-DynInst step()
+ * entry point adds a fixed call/materialize cost on top and is
+ * exercised by every timing-core measurement above).
  */
 double
 functionalStepNs(const WorkloadInstance &w, unsigned reps,
@@ -641,7 +642,7 @@ try {
             baseline_path = argv[++i];
         } else if (std::strcmp(argv[i], "--threshold") == 0 &&
                    i + 1 < argc) {
-            threshold_pct = std::strtod(argv[++i], nullptr);
+            threshold_pct = parseNumber<double>("--threshold", argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: bench_report [--quick] [--sampling] "

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Determinism linter for the byte-identical-output paths.
 #
-# The sweep engine's contract is that reports, journals, checkpoints,
-# and stats artifacts are byte-identical across job counts, shards,
-# hosts, and resumes. That contract dies quietly the day someone
-# iterates an unordered container into a report, keys an ordering on a
-# pointer, or stamps host time into an artifact. This linter greps the
-# artifact-producing sources for the known footguns and fails on any
-# hit:
+# The sweep engine's contract is that reports and stats artifacts are
+# byte-identical across job counts, shards, hosts, and resumes, and
+# that journals hold byte-identical records (in completion order).
+# That contract dies quietly the day someone iterates an unordered
+# container into a report, keys an ordering on a pointer, or stamps
+# host time into an artifact. This linter greps the artifact-producing
+# sources for the known footguns and fails on any hit:
 #
 #   - unordered_map / unordered_set    (iteration order is unspecified)
 #   - time( / clock( / localtime       (host time in artifact paths)
@@ -24,12 +24,11 @@ set -u
 root="${1:-.}"
 
 # The artifact-producing sources: everything whose output is under the
-# byte-identity contract (reports, journals, checkpoints, stats, the
-# lint/chain reports themselves).
+# byte-identity contract (reports, journals, stats, the sweep driver
+# that writes them, the lint/chain reports themselves).
 files=(
     src/sim/report.cc
     src/sim/journal.cc
-    src/sim/checkpoint.cc
     src/sim/experiment.cc
     src/sim/simulator.cc
     src/sim/sampled_sim.cc
@@ -41,6 +40,7 @@ files=(
     src/analysis/chain_xcheck.cc
     tools/svrsim_lint.cpp
     tools/bench_report.cpp
+    tools/svrsim_sweep.cpp
 )
 
 patterns=(

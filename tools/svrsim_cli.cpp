@@ -20,6 +20,7 @@
  *              --sample-every 2000000 --sample-window 40000 --warmup 20000
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -86,6 +87,17 @@ parseLoopBound(const std::string &s)
     if (s == "tournament")
         return LoopBoundMode::Tournament;
     fatal("unknown loop-bound mode '%s'", s.c_str());
+}
+
+/** Hits as a percentage of all accesses; 0 when there were none. */
+double
+hitRatePct(std::uint64_t hits, std::uint64_t misses)
+{
+    const std::uint64_t accesses = hits + misses;
+    if (accesses == 0)
+        return 0.0;
+    return 100.0 * static_cast<double>(hits) /
+           static_cast<double>(accesses);
 }
 
 } // namespace
@@ -284,11 +296,8 @@ try {
                 static_cast<unsigned long long>(r.core.stackOther));
     std::printf("\nmemory\n");
     std::printf("  L1D hit rate  %.2f%%\n",
-                100.0 * static_cast<double>(r.l1dHits) /
-                    static_cast<double>(r.l1dHits + r.l1dMisses));
-    std::printf("  L2 hit rate   %.2f%%\n",
-                100.0 * static_cast<double>(r.l2Hits) /
-                    static_cast<double>(r.l2Hits + r.l2Misses + 1));
+                hitRatePct(r.l1dHits, r.l1dMisses));
+    std::printf("  L2 hit rate   %.2f%%\n", hitRatePct(r.l2Hits, r.l2Misses));
     std::printf("  DRAM lines    %llu (demand %llu, ifetch %llu, "
                 "stride-pf %llu, svr %llu, imp %llu, wb %llu)\n",
                 static_cast<unsigned long long>(r.dramTransfers),
