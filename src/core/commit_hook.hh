@@ -6,8 +6,9 @@
  * with the commit cycle the timing model assigned. Its one client is
  * the ArchCheck lockstep validator (analysis/archcheck.hh), which is
  * debug tooling: the call sites in the cores are compiled out of
- * Release builds (see SVR_ARCHCHECK in the top-level CMakeLists) so
- * the committed BENCH_simspeed.json numbers never pay for it.
+ * Release builds (see SVR_ARCHCHECK in the top-level CMakeLists), and
+ * the sim-speed baseline in BENCH_simspeed.json is only measured
+ * without them (bench_report refuses a build with the hooks).
  */
 
 #ifndef SVR_CORE_COMMIT_HOOK_HH

@@ -102,16 +102,27 @@ coreTypeName(CoreType t)
 namespace presets
 {
 
+std::optional<std::uint64_t>
+parseSimWindow(std::string_view text)
+{
+    std::uint64_t v = 0;
+    if (tryParseNumber<std::uint64_t>(text, v) == std::errc{} && v > 0)
+        return v;
+    return std::nullopt;
+}
+
 std::uint64_t
 simWindow()
 {
-    if (const char *env = std::getenv("SVR_WINDOW")) {
-        std::uint64_t v = 0;
-        if (tryParseNumber<std::uint64_t>(env, v) == std::errc{} && v > 0)
-            return v;
-        warn("ignoring SVR_WINDOW='%s' (want a positive integer)", env);
-    }
-    return 400000;
+    static const std::uint64_t window = [] {
+        if (const char *env = std::getenv("SVR_WINDOW")) {
+            if (const auto v = parseSimWindow(env))
+                return *v;
+            warn("ignoring SVR_WINDOW='%s' (want a positive integer)", env);
+        }
+        return std::uint64_t{400000};
+    }();
+    return window;
 }
 
 SimConfig

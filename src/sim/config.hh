@@ -7,7 +7,9 @@
 #define SVR_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/inorder_core.hh"
 #include "core/ooo_core.hh"
@@ -107,9 +109,16 @@ SimConfig svrCore(unsigned n = 16);
 SimConfig byName(const std::string &name);
 
 /**
+ * The window an SVR_WINDOW value @p text asks for: a positive decimal
+ * integer, or nullopt for anything else (suffixes, signs, zero).
+ */
+std::optional<std::uint64_t> parseSimWindow(std::string_view text);
+
+/**
  * Simulation window length, overridable with the SVR_WINDOW
- * environment variable (instructions per run; default 400000). A value
- * that is not a positive decimal integer is ignored with a warning.
+ * environment variable (instructions per run; default 400000). The
+ * variable is read once per process; a value parseSimWindow() rejects
+ * is ignored with one warning.
  */
 std::uint64_t simWindow();
 

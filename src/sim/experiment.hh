@@ -109,8 +109,9 @@ struct MatrixTiming
     }
     /**
      * Aggregate simulated instructions per host second, in millions —
-     * every sweep doubles as a sim-speed measurement (tracked over
-     * time in BENCH_simspeed.json).
+     * every sweep doubles as a rough sim-speed reading. It is raw host
+     * time; the host-calibrated figures are bench_report's (tracked in
+     * BENCH_simspeed.json) and perfbench's.
      */
     double msimips() const
     {

@@ -41,15 +41,6 @@ struct StrideEntry
      */
     unsigned uselessRounds = 0;
     std::uint64_t lastUse = 0;     //!< LRU state
-    /**
-     * Oracle-seeded entry awaiting its first observation: prevAddress
-     * is meaningless until the first real access adopts it, so that
-     * observation must not decay the seeded confidence. Transient
-     * (deliberately not carried across sampled-simulation windows; an
-     * imported entry re-trains in two observations like ordinary
-     * hardware state).
-     */
-    bool primed = false;
 };
 
 /** Outcome of observing one load at the detector. */
@@ -67,17 +58,6 @@ struct StrideDetectorParams
     unsigned entries = 32;
     unsigned confidenceThreshold = 2;
     std::int64_t maxStride = 127; //!< 8-bit signed stride field
-};
-
-/**
- * One static-oracle seed: pre-train the detector to full confidence
- * for the load at @p pc with compile-time @p stride (produced by
- * analysis/chains.hh, consumed by SvrParams::oracleSeeds).
- */
-struct OracleSeed
-{
-    Addr pc = 0;
-    std::int64_t stride = 0;
 };
 
 /**
@@ -99,15 +79,6 @@ class StrideDetector
 
     /** Find an entry without modifying it (nullptr if absent). */
     StrideEntry *find(Addr pc);
-
-    /**
-     * Oracle-install an entry for @p pc at full confidence with
-     * @p stride (static-analysis seeding). Strides the 8-bit hardware
-     * field cannot represent are ignored. The entry is marked primed:
-     * its first observation adopts the real address instead of
-     * training on a garbage delta.
-     */
-    void seed(Addr pc, std::int64_t stride);
 
     /** Clear all Seen bits except the one for @p except_pc. */
     void clearSeenExcept(Addr except_pc);

@@ -21,8 +21,6 @@ SvrEngine::SvrEngine(const SvrParams &params, MemorySystem &memory,
         fatal("SvrEngine: vectorLength and svuWidth must be nonzero");
     mask.assign(p.vectorLength, false);
     laneFlags.assign(p.vectorLength, Flags{});
-    for (const OracleSeed &seed : p.oracleSeeds)
-        sd.seed(seed.pc, seed.stride);
 }
 
 void
@@ -62,8 +60,6 @@ SvrEngine::reset()
     events.clear();
     chains.clear();
     std::fill(mask.begin(), mask.end(), false);
-    for (const OracleSeed &seed : p.oracleSeeds)
-        sd.seed(seed.pc, seed.stride);
 }
 
 SvrEngineSnapshot

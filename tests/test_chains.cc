@@ -5,8 +5,8 @@
  * recognition, memory-op classification on hand-built kernels
  * (pointer chases, invariant reloads, deep chains, intra-iteration
  * register reuse), seeded-mutation self-tests for the three new chain
- * diagnostics, oracle seeding of the stride detector, and the
- * static-vs-dynamic cross-validation matrix (quick suite x SVR16/64).
+ * diagnostics, and the static-vs-dynamic cross-validation matrix
+ * (quick suite x SVR16/64).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "isa/program.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
-#include "svr/stride_detector.hh"
 #include "workloads/suites.hh"
 
 using namespace svr;
@@ -422,62 +421,6 @@ TEST(Chains, WholeSuiteAnalyzesErrorFree)
         const ChainReport r = analyzeChains(*inst.program);
         EXPECT_EQ(r.errorCount(), 0u) << spec.name << ":\n" << r.format();
     }
-}
-
-// ---- Oracle seeding. ------------------------------------------------
-
-TEST(OracleSeed, PrimedEntryStridesOnSecondObservation)
-{
-    StrideDetectorParams p;
-    p.entries = 32;
-    StrideDetector sd(p);
-    sd.seed(0x400, 8);
-    // First observation anchors the address without burning the
-    // confidence the seed granted...
-    StrideObservation obs = sd.observe(0x400, 0x1000);
-    EXPECT_TRUE(obs.matched);
-    EXPECT_TRUE(obs.isStriding);
-    // ...and the second confirms the seeded stride.
-    obs = sd.observe(0x400, 0x1008);
-    EXPECT_TRUE(obs.isStriding);
-    EXPECT_EQ(obs.entry->stride, 8);
-}
-
-TEST(OracleSeed, RejectsUnencodableStrides)
-{
-    StrideDetectorParams p;
-    p.entries = 32;
-    StrideDetector sd(p);
-    sd.seed(0x400, 0);    // zero stride: meaningless
-    sd.seed(0x408, 4096); // exceeds the 8-bit field
-    EXPECT_FALSE(sd.observe(0x400, 0x1000).isStriding);
-    EXPECT_FALSE(sd.observe(0x408, 0x2000).isStriding);
-}
-
-TEST(OracleSeed, StaticSeedsNeverSlowTheTrigger)
-{
-    // An oracle-seeded run skips the detector's training deltas, so
-    // it can only reach runahead sooner: rounds must not regress.
-    SimConfig base = presets::svrCore(16);
-    base.maxInstructions = 20000;
-    const WorkloadSpec spec = findWorkload("Camel");
-
-    const SimResult plain = simulate(base, spec.make());
-
-    SimConfig seeded = base;
-    const WorkloadInstance inst = spec.make();
-    const ChainReport report = analyzeChains(*inst.program);
-    ASSERT_FALSE(report.chains.empty());
-    for (const ChainInfo &c : report.chains) {
-        if (c.strideKnown && c.stride != 0) {
-            seeded.svr.oracleSeeds.push_back(
-                {Program::pcOf(c.rootIndex), c.stride});
-        }
-    }
-    ASSERT_FALSE(seeded.svr.oracleSeeds.empty());
-    const SimResult r = simulate(seeded, inst);
-    EXPECT_GT(r.core.svrRounds, 0u);
-    EXPECT_GE(r.core.svrRounds, plain.core.svrRounds);
 }
 
 // ---- Static-vs-dynamic cross-validation. ----------------------------

@@ -31,7 +31,11 @@
  *                   (status=failed) and keep sweeping; exit code 3
  *                   when any cell failed. Default is fail-fast.
  *   --retries N     attempts per cell before a failure counts (def. 1)
- *   --keep-journal  keep PATH.journal after a successful sweep
+ *   --keep-journal  keep PATH.journal after a successful sweep. Its
+ *                   records are in cell completion order, so only
+ *                   --jobs 1 journals compare byte for byte (cmp);
+ *                   with more jobs the same records come in another
+ *                   order, while the artifact itself is identical
  *   --journal-fsync fsync every journal record (and the artifact
  *                   rename) so the sweep survives power loss, not
  *                   just process death; slower per cell
