@@ -150,6 +150,7 @@ Cache::lookup(Addr line_addr, bool is_demand, bool &out_first_use,
                 line.prefUsed = true;
                 out_first_use = true;
                 prefetchFirstUse[static_cast<unsigned>(line.origin)]++;
+                prefetchOutcomes++;
             }
             // Keep ways MRU-first so the hot line is checked first on
             // the next lookup (position never affects victim choice:
@@ -211,6 +212,7 @@ Cache::insert(Addr line_addr, PrefetchOrigin origin, bool dirty)
         if (victim->origin != PrefetchOrigin::None && !victim->prefUsed) {
             result.evictedUnusedPrefetch = true;
             prefetchEvictedUnused[static_cast<unsigned>(victim->origin)]++;
+            prefetchOutcomes++;
         }
         if (victim->dirty)
             writebacks++;
@@ -254,6 +256,7 @@ Cache::reset()
     std::fill(pendingSlots.begin(), pendingSlots.end(), -1);
     earliestDone = neverDone;
     hits = misses = writebacks = 0;
+    prefetchOutcomes = 0;
     for (unsigned i = 0; i < numPrefetchOrigins; i++) {
         prefetchFirstUse[i] = 0;
         prefetchEvictedUnused[i] = 0;
@@ -368,6 +371,7 @@ Cache::convertPendingToDemand(Addr line_addr)
     if (m.origin == PrefetchOrigin::None)
         return;
     prefetchFirstUse[static_cast<unsigned>(m.origin)]++;
+    prefetchOutcomes++;
     m.origin = PrefetchOrigin::None;
 }
 
@@ -389,6 +393,7 @@ Cache::markPrefetchUsed(Addr line_addr)
             if (line.origin != PrefetchOrigin::None && !line.prefUsed) {
                 line.prefUsed = true;
                 prefetchFirstUse[static_cast<unsigned>(line.origin)]++;
+                prefetchOutcomes++;
             }
             return;
         }

@@ -216,6 +216,12 @@ class Cache
     std::uint64_t prefetchFirstUse[numPrefetchOrigins] = {};
     /** Evictions of never-used prefetched lines. */
     std::uint64_t prefetchEvictedUnused[numPrefetchOrigins] = {};
+    /**
+     * Increments of the two arrays above, all origins together: one
+     * number that moves whenever any of them does, for readers that
+     * poll them every instruction.
+     */
+    std::uint64_t prefetchOutcomes = 0;
 
   private:
     struct Line

@@ -180,6 +180,9 @@ class MemorySystem
     std::uint64_t llcPrefFirstUse(PrefetchOrigin origin) const;
     std::uint64_t llcPrefEvictedUnused(PrefetchOrigin origin) const;
 
+    /** Moves whenever any LLC first-use or unused-eviction count does. */
+    std::uint64_t llcPrefOutcomes() const { return l2Cache.prefetchOutcomes; }
+
   private:
     AccessResult accessLine(AccessKind kind, Addr line, Cycle start,
                             bool is_demand, bool is_store,

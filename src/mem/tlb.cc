@@ -30,9 +30,8 @@ Tlb::setOf(Addr page) const
 }
 
 bool
-Tlb::lookup(Addr addr)
+Tlb::scan(Addr page)
 {
-    const Addr page = pageAlign(addr);
     const std::size_t base =
         static_cast<std::size_t>(setOf(page)) * assoc;
     // Branchless all-ways compare (at most one way can match: insert
@@ -43,7 +42,8 @@ Tlb::lookup(Addr addr)
             hit_way = w;
     }
     if (hit_way != assoc) {
-        lastUse[base + hit_way] = ++useClock;
+        mruWay = base + hit_way;
+        lastUse[mruWay] = ++useClock;
         hits++;
         return true;
     }
@@ -70,8 +70,9 @@ Tlb::insert(Addr addr)
                 w = i;
         }
     }
-    pages[base + w] = page;
-    lastUse[base + w] = ++useClock;
+    mruWay = base + w;
+    pages[mruWay] = page;
+    lastUse[mruWay] = ++useClock;
 }
 
 void
@@ -81,6 +82,7 @@ Tlb::reset()
     std::fill(lastUse.begin(), lastUse.end(), 0);
     std::fill(fillCount.begin(), fillCount.end(), 0);
     useClock = 0;
+    mruWay = 0;
     hits = misses = 0;
 }
 

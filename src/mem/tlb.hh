@@ -26,8 +26,21 @@ class Tlb
      */
     Tlb(unsigned entries, unsigned assoc);
 
-    /** Probe for the page containing @p addr; updates LRU on hit. */
-    bool lookup(Addr addr);
+    /**
+     * Probe for the page containing @p addr; updates LRU on hit. The
+     * most recently hit or filled way is compared inline; the all-ways
+     * scan runs only when it misses.
+     */
+    bool
+    lookup(Addr addr)
+    {
+        if (pages[mruWay] == pageAlign(addr)) {
+            lastUse[mruWay] = ++useClock;
+            hits++;
+            return true;
+        }
+        return scan(pageAlign(addr));
+    }
 
     /** Install the translation for @p addr's page. */
     void insert(Addr addr);
@@ -47,22 +60,31 @@ class Tlb
     static constexpr Addr emptyTag = ~static_cast<Addr>(0);
 
     unsigned setOf(Addr page) const;
+    /** The all-ways compare of lookup() (@p page is page-aligned). */
+    bool scan(Addr page);
 
     unsigned assoc;
     unsigned numSets;
     /**
-     * Structure-of-arrays layout: the lookup scan touches only the
-     * page tags (a branchless all-ways compare the compiler can
-     * vectorize — this is the hottest loop in the memory system), and
-     * the LRU stamps live separately. Ways fill front-to-back
-     * (fillCount per set), so "first invalid way" is just the fill
-     * cursor and eviction is an argmin over unique lastUse stamps —
-     * both identical choices to the scan-based implementation.
+     * Structure-of-arrays layout: the scan behind the MRU check
+     * touches only the page tags (a branchless all-ways compare the
+     * compiler can vectorize), and the LRU stamps live separately.
+     * Ways fill front-to-back (fillCount per set), so "first invalid
+     * way" is just the fill cursor and eviction is an argmin over
+     * unique lastUse stamps — both identical choices to the
+     * scan-based implementation.
      */
     std::vector<Addr> pages;              // numSets * assoc tags
     std::vector<std::uint64_t> lastUse;   // parallel LRU stamps
     std::vector<std::uint16_t> fillCount; // valid ways per set
     std::uint64_t useClock = 0;
+    /**
+     * Index into pages/lastUse of the way last hit or filled. Tags are
+     * unique across the whole table (the set is a function of the
+     * page), so a match here is the match the scan would find; an
+     * empty or overwritten way simply fails the compare.
+     */
+    std::size_t mruWay = 0;
 };
 
 /** Parameters for the translation stack. */

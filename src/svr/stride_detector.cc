@@ -1,5 +1,7 @@
 #include "svr/stride_detector.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -12,14 +14,20 @@ StrideDetector::StrideDetector(const StrideDetectorParams &params) : p(params)
     if (p.entries == 0)
         fatal("StrideDetector: need at least one entry");
     table.resize(p.entries);
+    const std::size_t cap = std::bit_ceil<std::size_t>(
+        std::max<std::size_t>(16, 2 * p.entries));
+    pcHint.assign(cap, 0);
+    pcHintMask = cap - 1;
 }
 
 StrideEntry *
-StrideDetector::find(Addr pc)
+StrideDetector::scan(Addr pc)
 {
-    for (auto &e : table) {
-        if (e.valid && e.pc == pc)
-            return &e;
+    for (std::size_t i = 0; i < table.size(); i++) {
+        if (table[i].valid && table[i].pc == pc) {
+            pcHint[hintSlot(pc)] = static_cast<std::uint32_t>(i);
+            return &table[i];
+        }
     }
     return nullptr;
 }
@@ -28,22 +36,21 @@ StrideObservation
 StrideDetector::observe(Addr pc, Addr addr)
 {
     StrideObservation obs;
-    StrideEntry *entry = nullptr;
-    StrideEntry *victim = &table[0];
-    for (auto &e : table) {
-        if (e.valid && e.pc == pc) {
-            entry = &e;
-            break;
-        }
-        if (!e.valid || e.lastUse < victim->lastUse)
-            victim = &e;
-    }
+    StrideEntry *entry = find(pc);
     if (!entry) {
+        // Last invalid slot, else the LRU one (valid stamps are unique).
+        StrideEntry *victim = &table[0];
+        for (auto &e : table) {
+            if (!e.valid || e.lastUse < victim->lastUse)
+                victim = &e;
+        }
         *victim = StrideEntry{};
         victim->pc = pc;
         victim->valid = true;
         victim->prevAddress = addr;
         victim->lastUse = ++useClock;
+        pcHint[hintSlot(pc)] =
+            static_cast<std::uint32_t>(victim - table.data());
         obs.entry = victim;
         return obs;
     }

@@ -64,6 +64,12 @@ struct StrideDetectorParams
  * Fully associative, LRU-replaced stride detector. observe() performs
  * the per-load lookup/update; the engine reads the resulting entry to
  * decide whether to trigger piggyback runahead mode.
+ *
+ * Lookups go through a small PC-hashed hint array naming the slot
+ * where the PC was last found or installed. A hint is only trusted
+ * after checking that slot's valid bit and PC, so a stale hint (an
+ * evicted, reset or imported table) just falls back to the scan, which
+ * also picks the victim on a miss; results are those of a plain scan.
  */
 class StrideDetector
 {
@@ -78,7 +84,14 @@ class StrideDetector
     StrideObservation observe(Addr pc, Addr addr);
 
     /** Find an entry without modifying it (nullptr if absent). */
-    StrideEntry *find(Addr pc);
+    StrideEntry *
+    find(Addr pc)
+    {
+        StrideEntry &hinted = table[pcHint[hintSlot(pc)]];
+        if (hinted.valid && hinted.pc == pc)
+            return &hinted;
+        return scan(pc);
+    }
 
     /** Clear all Seen bits except the one for @p except_pc. */
     void clearSeenExcept(Addr except_pc);
@@ -109,9 +122,23 @@ class StrideDetector
                        std::uint64_t clock);
 
   private:
+    /** Hint-array slot for @p pc. */
+    std::size_t
+    hintSlot(Addr pc) const
+    {
+        std::uint64_t h = pc * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 32;
+        return static_cast<std::size_t>(h) & pcHintMask;
+    }
+    /** find() past a stale hint: scan, and re-point the hint. */
+    StrideEntry *scan(Addr pc);
+
     StrideDetectorParams p;
     std::vector<StrideEntry> table;
     std::uint64_t useClock = 0;
+    /** PC hash -> table slot last holding that PC (verified on use). */
+    std::vector<std::uint32_t> pcHint;
+    std::size_t pcHintMask = 0;
 };
 
 } // namespace svr

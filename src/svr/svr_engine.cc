@@ -40,6 +40,7 @@ SvrEngine::reset()
     sd.reset();
     taint.clear();
     lbp.reset();
+    seenOnlyValid = false;
     hslrValid = false;
     hslrPc = 0;
     prmActive = false;
@@ -56,6 +57,7 @@ SvrEngine::reset()
     instrsSinceGovernorReset = 0;
     governorUsefulBase = 0;
     governorUnusedBase = 0;
+    governorOutcomesSeen = governorStale;
     st = SvrEngineStats{};
     events.clear();
     chains.clear();
@@ -80,12 +82,14 @@ SvrEngine::importState(const SvrEngineSnapshot &snapshot)
               "state can only be restored between rounds");
     }
     sd.importEntries(snapshot.strideEntries, snapshot.strideClock);
+    seenOnlyValid = false;
     banned = snapshot.governorBanned;
     // The governor's accuracy window restarts against this engine's
     // (possibly fresh) memory system: re-anchor the counter bases.
     instrsSinceGovernorReset = 0;
     governorUsefulBase = mem.llcPrefFirstUse(PrefetchOrigin::Svr);
     governorUnusedBase = mem.llcPrefEvictedUnused(PrefetchOrigin::Svr);
+    governorOutcomesSeen = governorStale;
 }
 
 Cycle
@@ -107,10 +111,30 @@ SvrEngine::logEvent(SvrEventKind kind, Addr pc, Cycle cycle,
 }
 
 void
+SvrEngine::markSeen(StrideEntry &e)
+{
+    e.seen = true;
+    if (e.pc != seenOnlyPc)
+        seenOnlyValid = false;
+}
+
+void
+SvrEngine::clearSeenExcept(Addr pc)
+{
+    if (seenOnlyValid && pc == seenOnlyPc)
+        return;
+    sd.clearSeenExcept(pc);
+    seenOnlyValid = true;
+    seenOnlyPc = pc;
+}
+
+void
 SvrEngine::updateGovernor()
 {
-    if (!p.accuracyGovernor || banned)
+    if (!p.accuracyGovernor || banned ||
+        mem.llcPrefOutcomes() == governorOutcomesSeen)
         return;
+    governorOutcomesSeen = mem.llcPrefOutcomes();
     const std::uint64_t useful =
         mem.llcPrefFirstUse(PrefetchOrigin::Svr) - governorUsefulBase;
     const std::uint64_t unused =
@@ -205,10 +229,6 @@ Cycle
 SvrEngine::triggerRound(const DynInst &dyn, const StrideEntry &entry,
                         Cycle issue_cycle)
 {
-    if (p.chainUtilityGate && entry.uselessRounds >= p.uselessRoundLimit) {
-        st.uselessSuppressed++;
-        return issue_cycle;
-    }
     const auto reader = [this](RegId r) { return exec.readReg(r); };
     const unsigned lanes =
         lbp.predict(dyn.pc, p.vectorLength, p.loopBound, reader);
@@ -242,9 +262,9 @@ SvrEngine::triggerRound(const DynInst &dyn, const StrideEntry &entry,
     lilStopped = false;
     flagsLaneValid = false;
     taint.clear();
-    sd.clearSeenExcept(dyn.pc);
+    clearSeenExcept(dyn.pc);
     if (StrideEntry *e = sd.find(dyn.pc)) {
-        e->seen = true;
+        markSeen(*e);
         e->lastPrefetch = static_cast<Addr>(
             static_cast<std::int64_t>(dyn.addr) +
             entry.stride * static_cast<std::int64_t>(roundLanes));
@@ -478,6 +498,7 @@ SvrEngine::onIssue(const DynInst &dyn, Cycle issue_cycle)
         banned = false;
         governorUsefulBase = mem.llcPrefFirstUse(PrefetchOrigin::Svr);
         governorUnusedBase = mem.llcPrefEvictedUnused(PrefetchOrigin::Svr);
+        governorOutcomesSeen = governorStale;
         sd.resetUselessness();
     }
 
@@ -506,7 +527,7 @@ SvrEngine::onIssue(const DynInst &dyn, Cycle issue_cycle)
     // Seen-bit maintenance: reaching the HSLR load clears all other
     // Seen bits (section IV-A6, independent loops).
     if (is_load && hslrValid && dyn.pc == hslrPc)
-        sd.clearSeenExcept(hslrPc);
+        clearSeenExcept(hslrPc);
 
     if (prmActive) {
         if (is_load && obs.isStriding && dyn.pc != hslrPc && !banned) {
@@ -518,14 +539,14 @@ SvrEngine::onIssue(const DynInst &dyn, Cycle issue_cycle)
                 st.roundsAborted++;
                 logEvent(SvrEventKind::NestedAbort, dyn.pc, issue_cycle);
                 terminateRound(false, issue_cycle);
-                sd.clearSeenExcept(dyn.pc);
-                if (!waiting)
+                clearSeenExcept(dyn.pc);
+                if (!waiting && utilityGated(*e))
+                    st.uselessSuppressed++;
+                else if (!waiting)
                     block_until = triggerRound(dyn, *e, issue_cycle);
             } else {
-                e->seen = true;
-                if (!waiting &&
-                    !(p.chainUtilityGate &&
-                      e->uselessRounds >= p.uselessRoundLimit)) {
+                markSeen(*e);
+                if (!waiting && !utilityGated(*e)) {
                     // Unrolled loop: vectorize this second chain too,
                     // sharing the round's mask.
                     st.extraChains++;
@@ -593,12 +614,15 @@ SvrEngine::onIssue(const DynInst &dyn, Cycle issue_cycle)
                         st.nestedRounds++;
                         trigger = true;
                     } else {
-                        e->seen = true;
+                        markSeen(*e);
                     }
                 } else {
-                    e->seen = true;
+                    markSeen(*e);
                 }
-                if (trigger)
+                // A chain the utility gate suppresses stops here.
+                if (trigger && utilityGated(*e))
+                    st.uselessSuppressed++;
+                else if (trigger)
                     block_until = triggerRound(dyn, *e, issue_cycle);
             }
         }

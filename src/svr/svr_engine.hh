@@ -232,7 +232,10 @@ class SvrEngine : public RunaheadEngine
     void importState(const SvrEngineSnapshot &snapshot);
 
   private:
-    /** Enter PRM triggered by striding load @p dyn. */
+    /**
+     * Enter PRM triggered by striding load @p dyn. Callers check
+     * utilityGated() first.
+     */
     Cycle triggerRound(const DynInst &dyn, const StrideEntry &entry,
                        Cycle issue_cycle);
     /** Generate the trigger load's N scalar copies. */
@@ -246,6 +249,16 @@ class SvrEngine : public RunaheadEngine
     void observeControl(const DynInst &dyn);
     /** Accuracy-governor update; returns true when banned. */
     void updateGovernor();
+    /** True when the chain-utility gate keeps @p e from triggering. */
+    bool
+    utilityGated(const StrideEntry &e) const
+    {
+        return p.chainUtilityGate && e.uselessRounds >= p.uselessRoundLimit;
+    }
+    /** Set @p e's Seen bit (all engine writes of Seen go through here). */
+    void markSeen(StrideEntry &e);
+    /** Clear every Seen bit but @p pc's, unless none other can be set. */
+    void clearSeenExcept(Addr pc);
     /** SVU occupancy: schedule @p copies scalar issues from @p from. */
     Cycle svuSchedule(unsigned copies, Cycle from);
     /** Append to the event log when enabled. */
@@ -260,6 +273,16 @@ class SvrEngine : public RunaheadEngine
     Srf srf;
     TaintTracker taint;
     LoopBoundPredictor lbp;
+
+    /**
+     * While seenOnlyValid, no valid stride entry other than
+     * seenOnlyPc's has its Seen bit set, so clearSeenExcept(seenOnlyPc)
+     * has nothing to clear. Seen bits are only set by markSeen() and
+     * only cleared elsewhere (clears and entry replacement), so the
+     * claim stays true until markSeen() sets another PC's bit.
+     */
+    bool seenOnlyValid = false;
+    Addr seenOnlyPc = 0;
 
     // Head striding-load register + divergence mask (Figure 7).
     bool hslrValid = false;
@@ -288,6 +311,14 @@ class SvrEngine : public RunaheadEngine
     std::uint64_t instrsSinceGovernorReset = 0;
     std::uint64_t governorUsefulBase = 0;
     std::uint64_t governorUnusedBase = 0;
+    /**
+     * mem.llcPrefOutcomes() when the governor last evaluated. Its two
+     * counters only move when that does, so an equal value means the
+     * same verdict as last time. governorStale forces a re-evaluation
+     * after the bases or the ban change outside updateGovernor().
+     */
+    std::uint64_t governorOutcomesSeen = governorStale;
+    static constexpr std::uint64_t governorStale = ~std::uint64_t{0};
 
     SvrEngineStats st;
     std::vector<SvrEvent> events;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/dram.hh"
 #include "mem/tlb.hh"
 
@@ -111,6 +114,158 @@ TEST(Tlb, SetAssociativeIndexing)
     EXPECT_TRUE(t.lookup(0x0000));
     EXPECT_TRUE(t.lookup(0x2000));
     EXPECT_TRUE(t.lookup(0x1000));
+}
+
+/**
+ * Plain-scan TLB: every lookup compares all ways of the set, fills take
+ * the first invalid way, else the least recently used one. Tlb must
+ * behave exactly like it, whatever its MRU way remembers.
+ */
+class ScanTlb
+{
+  public:
+    ScanTlb(unsigned entries, unsigned assoc)
+        : assoc(assoc), numSets(entries / assoc), pages(entries),
+          valid(entries, false), lastUse(entries, 0)
+    {
+    }
+
+    bool
+    lookup(Addr addr)
+    {
+        const Addr page = pageAlign(addr);
+        const unsigned base = setOf(page) * assoc;
+        for (unsigned w = 0; w < assoc; w++) {
+            if (valid[base + w] && pages[base + w] == page) {
+                lastUse[base + w] = ++clock;
+                hits++;
+                return true;
+            }
+        }
+        misses++;
+        return false;
+    }
+
+    void
+    insert(Addr addr)
+    {
+        const Addr page = pageAlign(addr);
+        const unsigned base = setOf(page) * assoc;
+        unsigned victim = base;
+        for (unsigned w = base; w < base + assoc; w++) {
+            if (!valid[w]) {
+                victim = w;
+                break;
+            }
+            if (lastUse[w] < lastUse[victim])
+                victim = w;
+        }
+        pages[victim] = page;
+        valid[victim] = true;
+        lastUse[victim] = ++clock;
+    }
+
+    void
+    reset()
+    {
+        *this = ScanTlb(static_cast<unsigned>(pages.size()), assoc);
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    unsigned
+    setOf(Addr page) const
+    {
+        return static_cast<unsigned>((page / pageBytes) & (numSets - 1));
+    }
+
+    unsigned assoc;
+    unsigned numSets;
+    std::vector<Addr> pages;
+    std::vector<bool> valid;
+    std::vector<std::uint64_t> lastUse;
+    std::uint64_t clock = 0;
+};
+
+/**
+ * Drive a random page stream (mostly repeats of recent pages, so the
+ * MRU way hits, evicts and goes stale) through Tlb and ScanTlb with the
+ * translate-style lookup-then-insert, resetting both now and then.
+ * Every lookup must agree; every 64 steps, copies of both are probed on
+ * every page of the universe, which compares the resident sets (and so
+ * every victim chosen so far) without disturbing the originals.
+ */
+void
+expectTlbMatchesScan(unsigned entries, unsigned assoc, unsigned universe,
+                     std::uint64_t seed)
+{
+    Tlb fast(entries, assoc);
+    ScanTlb ref(entries, assoc);
+    Rng rng(seed);
+    std::vector<Addr> recent(4, 0);
+    for (unsigned step = 0; step < 20000; step++) {
+        if (rng.nextBounded(2000) == 0) {
+            fast.reset();
+            ref.reset();
+        }
+        Addr page;
+        if (rng.nextBounded(4) != 0)
+            page = recent[rng.nextBounded(recent.size())];
+        else
+            page = rng.nextBounded(universe) * pageBytes;
+        recent[step % recent.size()] = page;
+        const Addr addr = page + rng.nextBounded(pageBytes);
+        const bool hit = fast.lookup(addr);
+        ASSERT_EQ(hit, ref.lookup(addr)) << "step " << step;
+        if (!hit) {
+            fast.insert(addr);
+            ref.insert(addr);
+        }
+        if (step % 64 == 0) {
+            Tlb fast_probe = fast;
+            ScanTlb ref_probe = ref;
+            for (unsigned q = 0; q < universe; q++) {
+                ASSERT_EQ(fast_probe.lookup(q * pageBytes),
+                          ref_probe.lookup(q * pageBytes))
+                    << "step " << step << " page " << q;
+            }
+        }
+    }
+    EXPECT_EQ(fast.hits, ref.hits);
+    EXPECT_EQ(fast.misses, ref.misses);
+}
+
+TEST(Tlb, MruFastPathMatchesScanFullyAssociative)
+{
+    // The D-TLB/I-TLB geometry (Table III) over more pages than fit.
+    expectTlbMatchesScan(16, 16, 40, 1);
+    expectTlbMatchesScan(2, 2, 5, 2);
+}
+
+TEST(Tlb, MruFastPathMatchesScanSetAssociative)
+{
+    // The S-TLB geometry, a small set-associative one and a
+    // direct-mapped one (every fill there evicts within its set, so
+    // the remembered way is overwritten under it).
+    expectTlbMatchesScan(2048, 8, 4000, 3);
+    expectTlbMatchesScan(16, 4, 48, 4);
+    expectTlbMatchesScan(8, 1, 24, 5);
+}
+
+TEST(Tlb, MruWayEvictedThenRefilled)
+{
+    Tlb t(2, 1); // 2 sets x 1 way
+    t.insert(0x0000);            // remembered way: set 0
+    EXPECT_TRUE(t.lookup(0x0000));
+    t.insert(0x2000);            // same set: overwrites page 0's way
+    EXPECT_FALSE(t.lookup(0x0000));
+    EXPECT_TRUE(t.lookup(0x2000));
+    t.reset();
+    EXPECT_FALSE(t.lookup(0x2000));
+    EXPECT_EQ(t.hits, 0u);
+    EXPECT_EQ(t.misses, 1u);
 }
 
 TEST(TranslationStack, FirstLevelHitIsFree)

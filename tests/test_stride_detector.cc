@@ -1,11 +1,16 @@
 /**
  * @file
  * Unit tests for SVR's stride detector: confidence training, waiting
- * mode ranges, Seen bits, stride limits, and LRU replacement.
+ * mode ranges, Seen bits, stride limits, LRU replacement, and a
+ * differential check of the PC-hinted lookup against a plain scan.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <vector>
+
+#include "common/rng.hh"
 #include "svr/stride_detector.hh"
 
 namespace svr
@@ -175,6 +180,216 @@ TEST(StrideDetector, ResetDropsEntries)
     sd.observe(0x400, 0x1000);
     sd.reset();
     EXPECT_EQ(sd.find(0x400), nullptr);
+}
+
+/**
+ * Plain-scan stride detector: the table semantics StrideDetector must
+ * keep, with every lookup a full scan of the table.
+ */
+struct ScanStrideDetector
+{
+    explicit ScanStrideDetector(const StrideDetectorParams &params)
+        : p(params), table(params.entries)
+    {
+    }
+
+    StrideEntry *
+    find(Addr pc)
+    {
+        for (auto &e : table) {
+            if (e.valid && e.pc == pc)
+                return &e;
+        }
+        return nullptr;
+    }
+
+    StrideObservation
+    observe(Addr pc, Addr addr)
+    {
+        StrideObservation obs;
+        StrideEntry *entry = nullptr;
+        StrideEntry *victim = &table[0];
+        for (auto &e : table) {
+            if (e.valid && e.pc == pc) {
+                entry = &e;
+                break;
+            }
+            if (!e.valid || e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        if (!entry) {
+            *victim = StrideEntry{};
+            victim->pc = pc;
+            victim->valid = true;
+            victim->prevAddress = addr;
+            victim->lastUse = ++clock;
+            obs.entry = victim;
+            return obs;
+        }
+        entry->lastUse = ++clock;
+        obs.entry = entry;
+        if (entry->hasLastPrefetch) {
+            const Addr lo = entry->stride >= 0 ? entry->prevAddress
+                                               : entry->lastPrefetch;
+            const Addr hi = entry->stride >= 0 ? entry->lastPrefetch
+                                               : entry->prevAddress;
+            obs.inWaitRange = addr >= lo && addr <= hi;
+            if (!obs.inWaitRange)
+                entry->hasLastPrefetch = false;
+        }
+        const auto delta = static_cast<std::int64_t>(addr) -
+                           static_cast<std::int64_t>(entry->prevAddress);
+        if (delta == entry->stride && delta != 0) {
+            obs.matched = true;
+            if (entry->satCounter < 3)
+                entry->satCounter++;
+        } else {
+            if (entry->satCounter > 0)
+                entry->satCounter--;
+            if (entry->satCounter == 0)
+                entry->stride = delta;
+        }
+        entry->prevAddress = addr;
+        obs.isStriding = entry->satCounter >= p.confidenceThreshold &&
+                         entry->stride != 0 &&
+                         std::llabs(entry->stride) <= p.maxStride;
+        return obs;
+    }
+
+    StrideDetectorParams p;
+    std::vector<StrideEntry> table;
+    std::uint64_t clock = 0;
+};
+
+void
+expectEntryEq(const StrideEntry &x, const StrideEntry &y, std::size_t i)
+{
+    EXPECT_EQ(x.pc, y.pc) << "entry " << i;
+    EXPECT_EQ(x.valid, y.valid) << "entry " << i;
+    EXPECT_EQ(x.prevAddress, y.prevAddress) << "entry " << i;
+    EXPECT_EQ(x.stride, y.stride) << "entry " << i;
+    EXPECT_EQ(x.satCounter, y.satCounter) << "entry " << i;
+    EXPECT_EQ(x.lastPrefetch, y.lastPrefetch) << "entry " << i;
+    EXPECT_EQ(x.hasLastPrefetch, y.hasLastPrefetch) << "entry " << i;
+    EXPECT_EQ(x.seen, y.seen) << "entry " << i;
+    EXPECT_EQ(x.lil, y.lil) << "entry " << i;
+    EXPECT_EQ(x.lilConfidence, y.lilConfidence) << "entry " << i;
+    EXPECT_EQ(x.hasLil, y.hasLil) << "entry " << i;
+    EXPECT_EQ(x.uselessRounds, y.uselessRounds) << "entry " << i;
+    EXPECT_EQ(x.lastUse, y.lastUse) << "entry " << i;
+}
+
+/** Same slot (or both absent), compared relative to each table. */
+void
+expectSameSlot(const StrideDetector &fast, const StrideEntry *f,
+               const ScanStrideDetector &ref, const StrideEntry *r)
+{
+    ASSERT_EQ(f == nullptr, r == nullptr);
+    if (f) {
+        ASSERT_EQ(f - fast.entries().data(), r - ref.table.data());
+    }
+}
+
+/**
+ * Random PC/address streams through StrideDetector and the plain scan:
+ * more PCs than entries (evictions leave stale hints), striding and
+ * random addresses, finds of present and absent PCs that then write
+ * the found entry, Seen clears, uselessness resets, reset(), and
+ * importEntries() of a table whose PCs sit in other slots than the
+ * hints point at. Every observation, found slot, entry field and the
+ * LRU clock must agree.
+ */
+TEST(StrideDetector, HintedLookupMatchesScan)
+{
+    for (unsigned entries : {32u, 4u, 1u}) {
+        StrideDetector fast(params(entries));
+        ScanStrideDetector ref(params(entries));
+        Rng rng(entries);
+        const unsigned num_pcs = entries + entries / 2 + 2;
+        std::vector<Addr> next_addr(num_pcs);
+        for (unsigned i = 0; i < num_pcs; i++)
+            next_addr[i] = 0x100000 * (i + 1);
+        for (unsigned step = 0; step < 40000; step++) {
+            const unsigned op = static_cast<unsigned>(rng.nextBounded(100));
+            const unsigned k = static_cast<unsigned>(rng.nextBounded(num_pcs));
+            const Addr pc = 0x400 + 4 * k;
+            if (op < 80) {
+                Addr &a = next_addr[k];
+                a = rng.nextBounded(8) == 0 ? a + rng.nextBounded(4096)
+                                            : a + 8 * (k % 5) - 16;
+                const StrideObservation f = fast.observe(pc, a);
+                const StrideObservation r = ref.observe(pc, a);
+                expectSameSlot(fast, f.entry, ref, r.entry);
+                ASSERT_EQ(f.matched, r.matched) << "step " << step;
+                ASSERT_EQ(f.isStriding, r.isStriding) << "step " << step;
+                ASSERT_EQ(f.inWaitRange, r.inWaitRange) << "step " << step;
+            } else if (op < 92) {
+                // find() of a present or absent PC; write what it found
+                // the way the engine does (Seen, waiting range, LIL).
+                StrideEntry *f = fast.find(pc);
+                StrideEntry *r = ref.find(pc);
+                expectSameSlot(fast, f, ref, r);
+                if (f && r) {
+                    for (StrideEntry *e : {f, r}) {
+                        e->seen = true;
+                        e->lastPrefetch = e->prevAddress + 64;
+                        e->hasLastPrefetch = true;
+                        e->uselessRounds++;
+                        e->lil = static_cast<std::uint16_t>(step);
+                        e->hasLil = true;
+                    }
+                }
+            } else if (op < 96) {
+                fast.clearSeenExcept(pc);
+                for (auto &e : ref.table) {
+                    if (e.valid && e.pc != pc)
+                        e.seen = false;
+                }
+            } else if (op < 98) {
+                fast.resetUselessness();
+                for (auto &e : ref.table) {
+                    if (e.valid)
+                        e.uselessRounds = 0;
+                }
+            } else if (op < 99) {
+                // Rotate the table so every PC moves to another slot.
+                std::vector<StrideEntry> moved = ref.table;
+                const std::size_t shift = 1 + rng.nextBounded(entries);
+                for (std::size_t i = 0; i < moved.size(); i++)
+                    moved[i] = ref.table[(i + shift) % entries];
+                fast.importEntries(moved, ref.clock + 5);
+                ref.table = moved;
+                ref.clock += 5;
+            } else if (rng.nextBounded(4) == 0) {
+                fast.reset();
+                ref.table.assign(entries, StrideEntry{});
+                ref.clock = 0;
+            }
+            if (step % 16 == 0 || op >= 92) {
+                ASSERT_EQ(fast.clock(), ref.clock) << "step " << step;
+                for (std::size_t i = 0; i < entries; i++)
+                    expectEntryEq(fast.entries()[i], ref.table[i], i);
+                if (HasFailure())
+                    FAIL() << "entries differ at step " << step;
+            }
+        }
+    }
+}
+
+TEST(StrideDetector, StaleHintAfterImportFallsBackToScan)
+{
+    StrideDetector sd(params(4));
+    sd.observe(0x400, 0x1000); // slot 3 (the last invalid slot)
+    sd.observe(0x500, 0x2000); // slot 2
+    std::vector<StrideEntry> swapped = sd.entries();
+    std::swap(swapped[2], swapped[3]);
+    sd.importEntries(swapped, sd.clock());
+    ASSERT_NE(sd.find(0x400), nullptr);
+    EXPECT_EQ(sd.find(0x400) - sd.entries().data(), 2);
+    EXPECT_EQ(sd.find(0x500) - sd.entries().data(), 3);
+    sd.reset();
+    EXPECT_EQ(sd.find(0x400), nullptr);
+    EXPECT_EQ(sd.observe(0x400, 0x1000).entry - sd.entries().data(), 3);
 }
 
 } // namespace

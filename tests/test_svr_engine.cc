@@ -290,6 +290,27 @@ TEST(SvrEngine, GovernorResetsEveryInterval)
     EXPECT_GT(h.engine.stats().governorBans, 1u);
 }
 
+TEST(SvrEngine, GovernorReEvaluatesAfterEveryReset)
+{
+    // With no warm-up and a threshold above any accuracy, the verdict
+    // is "ban" before any prefetch outcome exists. The governor skips
+    // re-evaluating while the LLC outcome counters stand still, so it
+    // must still re-evaluate on the very instruction that resets its
+    // window (the 1000th of each), not when an outcome next arrives.
+    SvrParams sp;
+    sp.governorThreshold = 1.01;
+    sp.governorWarmup = 0;
+    sp.governorResetInterval = 1000;
+    EngineHarness h(test::streamSum(1 << 14), sp);
+    h.run(1);
+    EXPECT_TRUE(h.engine.governorBanned());
+    for (std::uint64_t window = 1; window <= 10; window++) {
+        h.run(window == 1 ? 999 : 1000);
+        EXPECT_TRUE(h.engine.governorBanned()) << "window " << window;
+        EXPECT_EQ(h.engine.stats().governorBans, window + 1);
+    }
+}
+
 TEST(SvrEngine, UnrolledLoopsVectorizeBothChains)
 {
     // Two independent stride-indirect chains in one loop body.
